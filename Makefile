@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
+.PHONY: check vet build test race bench-smoke bench-unit bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
 
-check: vet build race bench-smoke serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
+check: vet build race bench-smoke bench-unit serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
 
 # tier1 is the fast gate the roadmap requires of every change.
 tier1:
@@ -30,6 +30,13 @@ race:
 # not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ParallelSweep|AccessHotPath' -benchtime=1x .
+
+# The performance benchmark's own unit tests: percentiles, verdicts, span
+# attribution, golden rendering (bench/README.md). bench/ is a separate Go
+# module, so the root `go test ./...` never reaches it. No workload runs;
+# a few seconds including the build.
+bench-unit:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the committed perf artifact: the full Table 3 sweep through the
 # batched replay engine, with per-benchmark event counts and wall times

@@ -32,7 +32,6 @@ func build() *loopir.Program {
 		custIdx.InsertQuiet(r)
 	}
 	qual := mem.NewArray(sp, "qual", 8, nOrders, 1)
-	qual.EnsureData()
 	revenue := mem.NewScalar(sp, "revenue", 8)
 
 	prog := &loopir.Program{Name: "dbquery"}

@@ -24,7 +24,6 @@ func build() *loopir.Program {
 	next := mem.NewPaddedArray(sp, "next", 8, 1, n, n)
 	// Irregular boundary list: indices of cells needing fix-up.
 	blist := mem.NewArray(sp, "boundary", 8, 4*n, 1)
-	blist.EnsureData()
 	for i := 0; i < 4*n; i++ {
 		blist.SetData(int64(i*37%(n*n)), i, 0)
 	}

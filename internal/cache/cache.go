@@ -133,6 +133,18 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Reset empties the cache without reallocating its line array: every line
+// invalid, clock and counters zero, no policy or way memo attached — the
+// state New(c.Config()) builds.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	clear(c.mru)
+	c.clock = 0
+	c.pol = nil
+	c.memo = nil
+	c.Stats = Stats{}
+}
+
 // SetPolicy attaches a replacement policy built for this cache's
 // geometry. It must be called before any traffic; attaching mid-stream
 // would let policy state diverge from residency.

@@ -8,6 +8,7 @@ import (
 	"selcache/internal/regions"
 	"selcache/internal/sim"
 	"selcache/internal/workloads"
+	"selcache/internal/workloads/synth"
 )
 
 func TestVersionsAndStrings(t *testing.T) {
@@ -146,6 +147,37 @@ func TestRunAllOrdering(t *testing.T) {
 	for _, r := range results[1:4] {
 		if d := Improvement(base, r) - sel; d > 0.3 {
 			t.Fatalf("%v beats selective by %.2f points", r.Version, d)
+		}
+	}
+}
+
+// TestRunAllMatchesRun pins that sharing one machine across the five
+// versions changes nothing: RunAll's results equal five independent Run
+// calls under both mechanisms, both replacement policies, way memo and
+// classification on, over synthetic kernels from every footprint class.
+func TestRunAllMatchesRun(t *testing.T) {
+	var kernels []synth.Kernel
+	for i, f := range synth.Families() {
+		if i%13 == 0 {
+			kernels = append(kernels, synth.MustMake(f, 3))
+		}
+	}
+	for _, mech := range []sim.HWKind{sim.HWBypass, sim.HWVictim} {
+		for _, pol := range []sim.PolicyKind{sim.PolicyLRU, sim.PolicyEHC} {
+			o := DefaultOptions()
+			o.Mechanism, o.Policy = mech, pol
+			o.WayMemo, o.Energy, o.Classify = pol == sim.PolicyEHC, true, pol == sim.PolicyLRU
+			for _, k := range kernels {
+				all := RunAll(k.Build, o)
+				for i, v := range Versions() {
+					one := Run(k.Build, v, o)
+					got, want := all[i].Sim, one.Sim
+					got.WallNanos, want.WallNanos = 0, 0
+					if got != want || all[i].Regions != one.Regions || all[i].Opt != one.Opt {
+						t.Fatalf("%s %v %v/%v: RunAll differs from Run\nRunAll: %+v\nRun:    %+v", k.Name(), v, mech, pol, got, want)
+					}
+				}
+			}
 		}
 	}
 }

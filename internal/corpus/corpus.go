@@ -123,30 +123,24 @@ type Row struct {
 }
 
 // Sweep runs every kernel through all five versions under o on the
-// bounded worker pool. Each cell is independent (fresh program, fresh
-// machine), so results are byte-identical to a serial loop regardless of
-// worker count.
+// bounded worker pool. Each cell is independent (fresh programs, and one
+// machine of its own reset between versions), so results are
+// byte-identical to a serial loop regardless of worker count.
 func Sweep(kernels []synth.Kernel, o core.Options, workers int) []Row {
 	return parallel.MapWorkers(workers, len(kernels), func(_, i int) Row {
 		return runKernel(kernels[i], o)
 	})
 }
 
-// runKernel is one sweep cell: five core.Run calls over one kernel.
+// runKernel is one sweep cell: core.RunAll over one kernel.
 func runKernel(k synth.Kernel, o core.Options) Row {
 	row := Row{Kernel: k}
-	var base core.Result
-	for _, v := range core.Versions() {
-		res := core.Run(k.Build, v, o)
-		if v == core.Base {
-			base = res
-		}
-		row.Stats[v] = res.Sim
-		row.Improv[v] = core.Improvement(base, res)
-		if v == core.Selective {
-			row.Regions = res.Regions
-		}
+	res := core.RunAll(k.Build, o)
+	for _, r := range res {
+		row.Stats[r.Version] = r.Sim
+		row.Improv[r.Version] = core.Improvement(res[core.Base], r)
 	}
+	row.Regions = res[core.Selective].Regions
 	return row
 }
 

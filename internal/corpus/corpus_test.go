@@ -170,25 +170,33 @@ func interleave(rows []Row) []Row {
 }
 
 // TestSweepWorkerCountInvariant: pooled execution must assemble results
-// byte-identical to the serial reference.
+// byte-identical to the serial reference. Each worker carries its own
+// machine through a kernel's five versions; under -race the two-worker
+// case also proves no machine is shared between workers.
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	kernels, _ := buildGolden(t)
 	kernels = kernels[:6]
 	o := core.DefaultOptions()
 	serial := Sweep(kernels, o, 1)
-	pooled := Sweep(kernels, o, 4)
 	for i := range serial {
 		for v := range serial[i].Stats {
 			serial[i].Stats[v].WallNanos = 0
-			pooled[i].Stats[v].WallNanos = 0
 		}
-		// Kernel carries a Build closure, which DeepEqual can't compare;
-		// the data fields are what must agree.
-		if serial[i].Kernel.Fingerprint != pooled[i].Kernel.Fingerprint ||
-			serial[i].Stats != pooled[i].Stats ||
-			serial[i].Improv != pooled[i].Improv ||
-			serial[i].Regions != pooled[i].Regions {
-			t.Fatalf("kernel %s: pooled sweep differs from serial", serial[i].Kernel.Name())
+	}
+	for _, workers := range []int{2, 4} {
+		pooled := Sweep(kernels, o, workers)
+		for i := range serial {
+			for v := range pooled[i].Stats {
+				pooled[i].Stats[v].WallNanos = 0
+			}
+			// Kernel carries a Build closure, which DeepEqual can't compare;
+			// the data fields are what must agree.
+			if serial[i].Kernel.Fingerprint != pooled[i].Kernel.Fingerprint ||
+				serial[i].Stats != pooled[i].Stats ||
+				serial[i].Improv != pooled[i].Improv ||
+				serial[i].Regions != pooled[i].Regions {
+				t.Fatalf("kernel %s: %d-worker sweep differs from serial", serial[i].Kernel.Name(), workers)
+			}
 		}
 	}
 }

@@ -34,8 +34,6 @@ func NewHashIndex(sp *mem.Space, t *Table, keyCol string, nbuckets int) *HashInd
 		KeyCol:  keyCol,
 		mask:    uint64(nbuckets - 1),
 	}
-	ix.Buckets.EnsureData()
-	ix.Next.EnsureData()
 	return ix
 }
 

@@ -41,7 +41,6 @@ func NewTable(sp *mem.Space, name string, rows int, cols ...string) *Table {
 		names: append([]string(nil), cols...),
 		rows:  rows,
 	}
-	t.Cells.EnsureData()
 	for i, c := range cols {
 		if _, dup := t.cols[c]; dup {
 			panic(fmt.Sprintf("db: table %s duplicate column %s", name, c))

@@ -124,7 +124,6 @@ func TestInterpHoistedSkipped(t *testing.T) {
 func TestInterpMarkersAndOpaque(t *testing.T) {
 	sp := mem.NewSpace()
 	a := mem.NewArray(sp, "A", 8, 8, 1)
-	a.EnsureData()
 	a.SetData(42, 3, 0)
 	var loaded int64
 	prog := &Program{Body: []Node{

@@ -135,7 +135,6 @@ func Generate(seed uint64, cfg Config) (*loopir.Program, error) {
 			d1 = cfg.MaxExtent + 3 + r.intn(8)
 		}
 		arrays[i] = mem.NewArray(sp, fmt.Sprintf("A%d", i), 8, d0, d1)
-		arrays[i].EnsureData()
 	}
 	g := &gen{r: r, cfg: cfg, arrays: arrays}
 	prog := &loopir.Program{Name: fmt.Sprintf("random-%d", seed)}

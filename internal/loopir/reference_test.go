@@ -113,7 +113,6 @@ func TestRunReferenceMatchesCompiledRandom(t *testing.T) {
 func TestRunReferenceRestoresEnv(t *testing.T) {
 	sp := mem.NewSpace()
 	a := mem.NewArray(sp, "A", 8, 8)
-	a.EnsureData()
 	var got []int
 	probe := &loopir.Stmt{
 		Name: "probe",

@@ -142,6 +142,14 @@ func NewTable(cfg Config) *Table {
 	}
 }
 
+// Reset clears every entry, the aging clock and the counters without
+// reallocating the entries: the state NewTable(cfg) builds.
+func (t *Table) Reset() {
+	clear(t.entries)
+	t.sinceAge = 0
+	t.Stats = Stats{}
+}
+
 func (t *Table) macro(a mem.Addr) uint64 { return uint64(a) >> t.macroBits }
 
 // MacroShift returns log2 of the macro-block size: addr >> MacroShift() is

@@ -10,11 +10,12 @@ import "fmt"
 // {1, 0}. The compiler's data-layout pass mutates Order (via SetOrder) to
 // implement memory-layout transformations without rewriting subscripts.
 //
-// An Array may carry backing integer data (see EnsureData) so that
+// An Array may carry backing integer data (see SetData and Data) so that
 // subscripted-subscript workloads (index arrays, hash buckets, page tables)
 // can load real values through the simulator and use them to form further
 // addresses, which is what makes their reference streams genuinely
-// irregular.
+// irregular. The data is allocated by the first SetData; until then every
+// element reads as zero, so arrays whose values nobody reads cost nothing.
 type Array struct {
 	Name string
 	Base Addr
@@ -27,7 +28,7 @@ type Array struct {
 
 	order   []int
 	strides []int64 // per logical dimension, in elements
-	data    []int64 // optional backing data, logical linearization
+	data    []int64 // backing data, logical linearization; nil until the first SetData
 }
 
 // NewArray allocates an array with the given logical extents (row-major
@@ -147,12 +148,12 @@ func (a *Array) Len() int {
 // current layout.
 func (a *Array) linear(idx []int) int64 {
 	if len(idx) != len(a.Dims) {
-		panic(fmt.Sprintf("mem: array %s indexed with %d subscripts, has %d dims", a.Name, len(idx), len(a.Dims)))
+		panic(indexError{name: a.Name, subscripts: len(idx), dims: len(a.Dims)})
 	}
 	var off int64
 	for d, i := range idx {
 		if i < 0 || i >= a.Dims[d] {
-			panic(fmt.Sprintf("mem: array %s index %d out of range [0,%d) in dim %d", a.Name, i, a.Dims[d], d))
+			panic(indexError{name: a.Name, dim: d, index: i, extent: a.Dims[d]})
 		}
 		off += int64(i) * a.strides[d]
 	}
@@ -160,13 +161,38 @@ func (a *Array) linear(idx []int) int64 {
 }
 
 // logicalLinear maps logical indices to the layout-independent linearization
-// used for backing data.
+// used for backing data. It checks indices exactly as linear does: without
+// the checks an out-of-range subscript would silently alias another
+// element.
 func (a *Array) logicalLinear(idx []int) int {
+	if len(idx) != len(a.Dims) {
+		panic(indexError{name: a.Name, subscripts: len(idx), dims: len(a.Dims)})
+	}
 	off := 0
 	for d, i := range idx {
+		if i < 0 || i >= a.Dims[d] {
+			panic(indexError{name: a.Name, dim: d, index: i, extent: a.Dims[d]})
+		}
 		off = off*a.Dims[d] + i
 	}
 	return off
+}
+
+// indexError is the panic value for a subscript list an array rejects:
+// the wrong number of subscripts, or one outside its dimension. It is
+// formatted only when printed, which keeps the checks cheap enough for
+// linear and logicalLinear to inline into Addr, Data and SetData.
+type indexError struct {
+	name               string
+	subscripts, dims   int // an arity error when they differ
+	dim, index, extent int
+}
+
+func (e indexError) Error() string {
+	if e.subscripts != e.dims {
+		return fmt.Sprintf("mem: array %s indexed with %d subscripts, has %d dims", e.name, e.subscripts, e.dims)
+	}
+	return fmt.Sprintf("mem: array %s index %d out of range [0,%d) in dim %d", e.name, e.index, e.extent, e.dim)
 }
 
 // Addr returns the simulated address of the element at the given logical
@@ -186,25 +212,24 @@ func (a *Array) AccessSize() uint8 {
 	return uint8(a.Elem)
 }
 
-// EnsureData allocates (once) backing data storage for the array.
-func (a *Array) EnsureData() {
+// SetData stores v as the backing value of the element at idx, allocating
+// the array's backing data on first use. Like Addr it panics on a wrong
+// number of subscripts or an out-of-range index.
+func (a *Array) SetData(v int64, idx ...int) {
+	off := a.logicalLinear(idx)
 	if a.data == nil {
 		a.data = make([]int64, a.Len())
 	}
+	a.data[off] = v
 }
 
-// SetData stores v as the backing value of the element at idx. The array
-// must carry backing data (EnsureData).
-func (a *Array) SetData(v int64, idx ...int) {
-	a.EnsureData()
-	a.data[a.logicalLinear(idx)] = v
-}
-
-// Data returns the backing value of the element at idx (zero if the array
-// has no backing data).
+// Data returns the backing value of the element at idx: zero if nothing
+// was ever stored there. Like Addr it panics on a wrong number of
+// subscripts or an out-of-range index.
 func (a *Array) Data(idx ...int) int64 {
+	off := a.logicalLinear(idx)
 	if a.data == nil {
 		return 0
 	}
-	return a.data[a.logicalLinear(idx)]
+	return a.data[off]
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,59 @@ func TestArrayDataLayoutIndependent(t *testing.T) {
 	}
 	if got := a.Data(2, 1); got != 0 {
 		t.Fatalf("transposed element unexpectedly %d", got)
+	}
+}
+
+// TestArrayDataChecksIndices pins that Data and SetData reject exactly the
+// subscripts Addr rejects, with the same message: before the check, a 3×4
+// array's SetData(7, 0, 5) silently wrote element (1,1).
+func TestArrayDataChecksIndices(t *testing.T) {
+	for _, tc := range []struct {
+		idx  []int
+		want string // panic message; empty means accepted
+	}{
+		{[]int{0, 0}, ""},
+		{[]int{2, 3}, ""},
+		{[]int{0, 5}, "mem: array D index 5 out of range [0,4) in dim 1"},
+		{[]int{3, 0}, "mem: array D index 3 out of range [0,3) in dim 0"},
+		{[]int{-1, 0}, "mem: array D index -1 out of range [0,3) in dim 0"},
+		{[]int{1, -1}, "mem: array D index -1 out of range [0,4) in dim 1"},
+		{[]int{1}, "mem: array D indexed with 1 subscripts, has 2 dims"},
+		{[]int{1, 1, 0}, "mem: array D indexed with 3 subscripts, has 2 dims"},
+	} {
+		// Data is checked on an array without backing data (the lazy
+		// zero path) as well as one with it.
+		fresh := NewArray(NewSpace(), "D", 8, 3, 4)
+		stored := NewArray(NewSpace(), "D", 8, 3, 4)
+		stored.SetData(1, 0, 0)
+		for name, f := range map[string]func(){
+			"Addr":         func() { fresh.Addr(tc.idx...) },
+			"Data":         func() { fresh.Data(tc.idx...) },
+			"Data(stored)": func() { stored.Data(tc.idx...) },
+			"SetData":      func() { fresh.SetData(7, tc.idx...) },
+		} {
+			got := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				f()
+				return ""
+			}()
+			if got != tc.want {
+				t.Errorf("%s%v: panic %q, want %q", name, tc.idx, got, tc.want)
+			}
+		}
+	}
+	// A rejected SetData stores nothing anywhere.
+	a := NewArray(NewSpace(), "D", 8, 3, 4)
+	func() {
+		defer func() { _ = recover() }()
+		a.SetData(7, 0, 5)
+	}()
+	if got := a.Data(1, 1); got != 0 {
+		t.Fatalf("out-of-range SetData aliased element (1,1): %d", got)
 	}
 }
 

@@ -86,10 +86,13 @@ type Machine struct {
 	dtlb       *tlb.TLB
 
 	matT *mat.Table
-	sldt *mat.SLDT
-	buf  *mat.Buffer
-	vc1  *cache.Victim
-	vc2  *cache.Victim
+	// matStore keeps the last MAT built, so a Reset for a bypass run can
+	// reuse its entries even when the runs in between had no mechanism.
+	matStore *mat.Table
+	sldt     *mat.SLDT
+	buf      *mat.Buffer
+	vc1      *cache.Victim
+	vc2      *cache.Victim
 
 	// ext caches l1.Extended() (a policy or way memo is attached; both
 	// levels always agree): probe sites branch on it to pick the
@@ -128,27 +131,54 @@ type Machine struct {
 
 // NewMachine builds a machine for one run.
 func NewMachine(cfg Config, opt Options) *Machine {
+	m := new(Machine)
+	m.Reset(cfg, opt)
+	return m
+}
+
+// Reset puts the machine in exactly the state NewMachine(cfg, opt) builds,
+// reusing the storage of its previous run where it fits: the L1 and L2
+// line arrays when their geometry is unchanged, and the MAT entries when
+// the MAT configuration is. Everything else (TLB, classifiers, SLDT,
+// bypass buffer, victim caches, replacement policies and way memos) is
+// built afresh, and every counter starts at zero. The zero Machine is
+// ready for Reset.
+func (m *Machine) Reset(cfg Config, opt Options) {
 	opt = opt.withDefaults()
-	m := &Machine{
-		cfg:      cfg,
-		opt:      opt,
-		l1:       cache.New(cfg.L1),
-		l2:       cache.New(cfg.L2),
-		dtlb:     tlb.New(cfg.TLB),
-		hwOn:     opt.InitiallyOn,
-		invIssue: 1 / float64(cfg.IssueWidth),
-		invPorts: 1 / float64(cfg.MemPorts),
+	l1, l2 := reuseCache(m.l1, cfg.L1), reuseCache(m.l2, cfg.L2)
+	matStore, colBlock, colPage := m.matStore, m.colBlock, m.colPage
+	outstanding := m.outstanding[:0]
+	if cap(outstanding) != cfg.MLP {
+		outstanding = make([]float64, 0, cfg.MLP)
+	}
+	*m = Machine{
+		cfg:         cfg,
+		opt:         opt,
+		l1:          l1,
+		l2:          l2,
+		dtlb:        tlb.New(cfg.TLB),
+		matStore:    matStore,
+		hwOn:        opt.InitiallyOn,
+		outstanding: outstanding,
+		invIssue:    1 / float64(cfg.IssueWidth),
+		invPorts:    1 / float64(cfg.MemPorts),
+		colBlock:    colBlock,
+		colPage:     colPage,
 	}
 	m.l1Transfer = float64(cfg.L1.Block / cfg.BusBytes)
 	m.l2Transfer = float64(cfg.L2.Block / cfg.BusBytes)
-	m.outstanding = make([]float64, 0, cfg.MLP)
 	if opt.Classify {
 		m.cls1 = cache.NewClassifier(cfg.L1)
 		m.cls2 = cache.NewClassifier(cfg.L2)
 	}
 	switch opt.Mechanism {
 	case HWBypass:
-		m.matT = mat.NewTable(opt.MAT)
+		if m.matStore != nil && m.matStore.ConfigSnapshot() == opt.MAT {
+			m.matStore.Reset()
+		} else {
+			m.matStore = mat.NewTable(opt.MAT)
+		}
+		m.matT = m.matStore
 		m.sldt = mat.NewSLDT(opt.MAT, cfg.L1.Block)
 		m.buf = mat.NewBuffer(opt.MAT.BufferWords)
 	case HWVictim:
@@ -166,7 +196,15 @@ func NewMachine(cfg Config, opt Options) *Machine {
 	m.ext = m.l1.Extended()
 	m.l1Shift = m.l1.BlockShift()
 	m.pageShift = m.dtlb.PageShift()
-	return m
+}
+
+// reuseCache returns c emptied when it has geometry cfg, else a new cache.
+func reuseCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
+	if c == nil || c.Config() != cfg {
+		return cache.New(cfg)
+	}
+	c.Reset()
+	return c
 }
 
 // HWActive reports the current state of the run-time optimization flag.

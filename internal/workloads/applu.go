@@ -36,9 +36,7 @@ func buildApplu() *loopir.Program {
 	rsd := mem.NewArray(sp, "rsd", 8, cells, appluComps)
 	jac := mem.NewArray(sp, "jac", 8, cells, appluJac)
 	perm := mem.NewArray(sp, "wavefront", 8, cells, 1)
-	perm.EnsureData()
 	bctab := mem.NewArray(sp, "bctype", 8, 64, 1)
-	bctab.EnsureData()
 
 	// Wavefront renumbering: cells ordered by anti-diagonal (i+j+k), with
 	// deterministic shuffling inside each wavefront — the renumbering

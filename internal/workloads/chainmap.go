@@ -34,10 +34,6 @@ func newChainMap(sp *mem.Space, name string, nbuckets, capacity int) *chainMap {
 		mask:    uint64(nbuckets - 1),
 		cap:     capacity,
 	}
-	m.buckets.EnsureData()
-	m.next.EnsureData()
-	m.keys.EnsureData()
-	m.vals.EnsureData()
 	return m
 }
 

@@ -39,8 +39,6 @@ func buildChaos() *loopir.Program {
 	ew := mem.NewArray(sp, "edgeW", 8, chaosEdges, 1)
 	grid := mem.NewArray(sp, "grid", 8, chaosGrid, chaosGrid)
 	gnew := mem.NewArray(sp, "gridNew", 8, chaosGrid, chaosGrid)
-	ea.EnsureData()
-	eb.EnsureData()
 
 	// Mesh connectivity: mostly local edges (neighbours in node order)
 	// with a long-range fraction, as partitioned meshes exhibit.

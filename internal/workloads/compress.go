@@ -46,12 +46,9 @@ func buildCompress() *loopir.Program {
 func buildCompressSized(input, block, htabSize, maxFill int) *loopir.Program {
 	sp := mem.NewSpace()
 	in := mem.NewArray(sp, "input", 1, input, 1)
-	in.EnsureData()
 	out := mem.NewArray(sp, "output", 8, input/2, 1)
 	htab := mem.NewArray(sp, "htab", 8, htabSize, 1)
-	htab.EnsureData()
 	codetab := mem.NewArray(sp, "codetab", 8, htabSize, 1)
-	codetab.EnsureData()
 
 	// Synthetic English-ish corpus: skewed letters with word structure,
 	// so digram frequencies are heavy-tailed and the dictionary develops

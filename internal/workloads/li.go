@@ -36,9 +36,6 @@ func buildLi() *loopir.Program {
 	car := mem.NewArray(sp, "car", 8, liCells, 1)
 	cdr := mem.NewArray(sp, "cdr", 8, liCells, 1)
 	marks := mem.NewArray(sp, "mark", 8, liCells, 1)
-	car.EnsureData()
-	cdr.EnsureData()
-	marks.EnsureData()
 
 	rng := db.NewRNG(0x11C1_5B00)
 

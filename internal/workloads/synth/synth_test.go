@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"selcache/internal/loopir"
@@ -180,4 +181,37 @@ func TestCanonicalCoversGeometry(t *testing.T) {
 	if Fingerprint(build([]int{0, 1})) == Fingerprint(build([]int{1, 0})) {
 		t.Fatal("fingerprint ignores array dimension order")
 	}
+}
+
+// TestLargeFootprintBuildAllocatesLittle guards the corpus compile path
+// against materializing array data nobody reads. A large-footprint kernel
+// declares four 288×288 arrays of 8-byte elements — 2.6 MB if backed — but
+// generated programs only emit addresses, so a build must cost no more than
+// its loop tree: under 64 KiB on average over every large family.
+func TestLargeFootprintBuildAllocatesLittle(t *testing.T) {
+	const seeds = 4
+	var kernels []Kernel
+	for _, f := range Families() {
+		if f.Class.Footprint != FootLarge {
+			continue
+		}
+		if got := f.Config().ArrayExtent; got != 288 {
+			t.Fatalf("%s: ArrayExtent %d, want 288", f.Name(), got)
+		}
+		for seed := uint64(1); seed <= seeds; seed++ {
+			kernels = append(kernels, MustMake(f, seed))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range kernels {
+		k.Build()
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / uint64(len(kernels))
+	if perBuild >= 64<<10 {
+		t.Fatalf("a large-footprint build allocates %d bytes on average over %d builds, want < 64 KiB",
+			perBuild, len(kernels))
+	}
+	t.Logf("%d builds, %d bytes each on average", len(kernels), perBuild)
 }

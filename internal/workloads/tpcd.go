@@ -37,7 +37,6 @@ func buildQ1() *loopir.Program {
 	li := db.GenLineitem(sp, rng, tpcdLineitem, tpcdLineitem/4)
 	groups := mem.NewArray(sp, "q1groups", 8, 8, 8)
 	grpvec := mem.NewArray(sp, "q1grpvec", 8, tpcdLineitem, 1)
-	grpvec.EnsureData()
 
 	// Two full-table phases per execution: the projection scan computes
 	// each row's group code into a vector (fully analyzable — the
@@ -117,7 +116,6 @@ func buildQ3() *loopir.Program {
 	custIdx := db.NewHashIndex(sp, custT, "custkey", 1<<13)
 	ordIdx := db.NewHashIndex(sp, ordT, "orderkey", 1<<13)
 	result := mem.NewArray(sp, "q3result", 8, 4096, 2)
-	result.EnsureData()
 
 	prog := &loopir.Program{Name: "tpc-d.q3"}
 	for rep := 0; rep < 2; rep++ {
@@ -238,7 +236,6 @@ func buildQ6() *loopir.Program {
 	li := db.GenLineitem(sp, rng, tpcdLineitem, tpcdLineitem/4)
 	revenue := mem.NewScalar(sp, "revenue", 8)
 	qual := mem.NewArray(sp, "q6qual", 8, tpcdLineitem, 1)
-	qual.EnsureData()
 	dim := newChainMap(sp, "datedim", 512, 2048)
 	for d := 0; d < 2048; d++ {
 		dim.insertQuiet(int64(d), int64(d%7))
