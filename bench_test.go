@@ -174,7 +174,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 
 // BenchmarkAccessHotPath drives the per-access pipeline with a strided
 // walk over a working set that fits L2 but thrashes L1 — the locality
-// profile the MRU-way hint and the single-pass stall loop target.
+// profile the MRU fast path and the single-pass stall loop target.
 func BenchmarkAccessHotPath(b *testing.B) {
 	m := sim.NewMachine(sim.Base(), sim.Options{Mechanism: sim.HWBypass, InitiallyOn: true})
 	const stride = 8

@@ -1,26 +1,29 @@
 // Package cache implements the cache structures of the simulated memory
-// hierarchy: set-associative caches with true-LRU replacement and
-// write-back/write-allocate policy, fully-associative victim caches
-// (Jouppi), a generic fully-associative LRU store reused by the bypass
-// buffer, and a shadow classifier that splits misses into compulsory,
-// capacity and conflict components (the paper reports that conflict misses
-// are 53–72% of all misses in its benchmark suite, so the split is a
-// first-class statistic here).
+// hierarchy: set-associative caches with true-LRU or Expected-Hit-Count
+// replacement and write-back/write-allocate policy, fully-associative
+// victim caches (Jouppi), a generic fully-associative LRU store reused by
+// the bypass buffer, and a shadow classifier that splits misses into
+// compulsory, capacity and conflict components (the paper reports that
+// conflict misses are 53–72% of all misses in its benchmark suite, so the
+// split is a first-class statistic here).
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
-	"selcache/internal/cache/policy"
 	"selcache/internal/mem"
 )
+
+// ErrAssocTooWide reports an associativity above MaxAssoc ways.
+var ErrAssocTooWide = errors.New("cache: associativity above 16 ways")
 
 // Config describes one cache level.
 type Config struct {
 	// Size is the total capacity in bytes.
 	Size int
-	// Assoc is the set associativity.
+	// Assoc is the set associativity (at most MaxAssoc).
 	Assoc int
 	// Block is the line size in bytes.
 	Block int
@@ -36,6 +39,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Size <= 0 || c.Assoc <= 0 || c.Block <= 0:
 		return fmt.Errorf("cache: non-positive config %+v", c)
+	case c.Assoc > MaxAssoc:
+		return fmt.Errorf("%w: %d", ErrAssocTooWide, c.Assoc)
 	case c.Block&(c.Block-1) != 0:
 		return fmt.Errorf("cache: block size %d not a power of two", c.Block)
 	case c.Size%c.Block != 0:
@@ -69,11 +74,12 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64 // block address (addr >> blockBits)
-	stamp uint64
-	valid bool
-	dirty bool
+// setState is the per-set metadata of the packed layout: the recency
+// order plus one bit per way for validity and dirtiness. A set's tags
+// live beside it in Cache.tags.
+type setState struct {
+	order        Order
+	valid, dirty uint16
 }
 
 // Evicted describes a line displaced by a fill.
@@ -83,33 +89,31 @@ type Evicted struct {
 	Valid     bool
 }
 
-// Cache is a set-associative, true-LRU, write-back/write-allocate cache.
+// Cache is a set-associative, write-back/write-allocate cache with true-LRU
+// replacement, or Expected-Hit-Count replacement once EnableEHC is called.
 // Fill policy is decoupled from lookup so that a controller (internal/sim)
 // can interpose bypass or victim-cache decisions between a miss and the
 // corresponding fill.
+//
+// State is structure-of-arrays: tags holds every line's block number with
+// a set's ways contiguous, and sets holds one setState per set. The MRU
+// way is the recency order's low nibble, so a probe that hits the line
+// that hit last costs one tag compare and writes nothing but the counters.
 type Cache struct {
 	cfg       Config
 	blockBits uint
 	setMask   uint64
 	assoc     int
-	lines     []line
-	clock     uint64
-	// mru holds, per set, the way of the last hit or fill. Lookups probe
-	// it before scanning the set: cache-friendly access streams hit the
-	// same line repeatedly, so the fast path resolves most lookups with a
-	// single tag compare and no slice churn. The hint is advisory — a
-	// stale hint just falls through to the full scan — and it never
-	// influences replacement, so timing and stats are unchanged.
-	mru []uint8
+	full      uint16 // the valid mask of a full set
+	tags      []uint64
+	sets      []setState
 
-	// pol, when non-nil, owns victim selection (policy.Policy); the
-	// native stamps keep running (they order snapshots and drive the
-	// lruIndex fallback) but no longer pick victims. nil means native
-	// true-LRU — the default, with LookupFast/LookupSlow untouched.
-	pol policy.Policy
-	// memo, when non-nil, is the way-memoization table. Probes must go
-	// through LookupBlockExt (LookupBlock dispatches there) so the memo
-	// is consulted and maintained.
+	// plain is true while neither EHC nor a way memo is attached; only
+	// then may LookupFast resolve a probe.
+	plain bool
+	ehc   *ehc
+	// memo, when non-nil, is the way-memoization table; LookupSlow
+	// consults and maintains it.
 	memo *wayMemo
 
 	// Stats accumulates hit/miss counters; the embedding controller is
@@ -123,44 +127,49 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		blockBits: uint(bits.TrailingZeros(uint(cfg.Block))),
 		setMask:   uint64(cfg.Sets() - 1),
 		assoc:     cfg.Assoc,
-		lines:     make([]line, cfg.Lines()),
-		mru:       make([]uint8, cfg.Sets()),
+		full:      uint16(1<<cfg.Assoc - 1),
+		tags:      make([]uint64, cfg.Lines()),
+		sets:      make([]setState, cfg.Sets()),
 	}
+	c.Reset()
+	return c
 }
 
-// Reset empties the cache without reallocating its line array: every line
-// invalid, clock and counters zero, no policy or way memo attached — the
-// state New(c.Config()) builds.
+// Reset empties the cache without reallocating its arrays: every line
+// invalid, counters zero, no EHC or way memo attached — the state
+// New(c.Config()) builds.
 func (c *Cache) Reset() {
-	clear(c.lines)
-	clear(c.mru)
-	c.clock = 0
-	c.pol = nil
+	clear(c.tags)
+	init := setState{order: InitialOrder(c.assoc)}
+	for i := range c.sets {
+		c.sets[i] = init
+	}
+	c.plain = true
+	c.ehc = nil
 	c.memo = nil
 	c.Stats = Stats{}
 }
 
-// SetPolicy attaches a replacement policy built for this cache's
-// geometry. It must be called before any traffic; attaching mid-stream
-// would let policy state diverge from residency.
-func (c *Cache) SetPolicy(p policy.Policy) { c.pol = p }
-
-// Policy returns the attached replacement policy (nil = native LRU).
-func (c *Cache) Policy() policy.Policy { return c.pol }
+// EnableEHC switches replacement to Expected-Hit-Count with a
+// histEntries-slot history table (a positive power of two; panics
+// otherwise). It must be called before any traffic; attaching mid-stream
+// would start generations at lines already resident.
+func (c *Cache) EnableEHC(histEntries int) {
+	c.ehc = newEHC(c.cfg.Lines(), histEntries)
+	c.plain = false
+}
 
 // EnableWayMemo attaches a way-memoization table of the given size
-// (power of two). Like SetPolicy, call before any traffic.
-func (c *Cache) EnableWayMemo(entries int) { c.memo = newWayMemo(entries) }
-
-// Extended reports whether probes must take the LookupBlockExt path
-// (a policy or way memo is attached). Hot probe sites check it once at
-// setup and branch per access on a cached bool.
-func (c *Cache) Extended() bool { return c.pol != nil || c.memo != nil }
+// (power of two). Like EnableEHC, call before any traffic.
+func (c *Cache) EnableWayMemo(entries int) {
+	c.memo = newWayMemo(entries)
+	c.plain = false
+}
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
@@ -170,201 +179,121 @@ func (c *Cache) BlockAddr(a mem.Addr) mem.Addr {
 	return a &^ (mem.Addr(c.cfg.Block) - 1)
 }
 
-func (c *Cache) set(block uint64) []line {
-	s := int(block & c.setMask)
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
-}
-
 // BlockShift returns log2 of the line size: addr >> BlockShift() is the
 // block number Lookup works with. The batched replay engine precomputes
 // block columns with it.
 func (c *Cache) BlockShift() uint { return c.blockBits }
 
+// find returns the way of set s holding block, or -1.
+func (c *Cache) find(s uint64, block uint64) int {
+	base := int(s) * c.assoc
+	valid := c.sets[s].valid
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == block && valid>>uint(i)&1 != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 // Lookup probes the cache for the block containing a. On a hit it updates
 // recency (and the dirty bit for writes) and returns true. On a miss it
 // returns false without allocating; the caller decides whether and how to
-// fill. Stats are updated either way.
+// fill. Stats are updated either way. It is LookupFast composed with
+// LookupSlow on the block number (addr >> BlockShift); hot probe sites,
+// which have the block number precomputed, write the pair out so the fast
+// half inlines (the composition itself exceeds the inliner's budget).
 func (c *Cache) Lookup(a mem.Addr, write bool) bool {
-	return c.LookupBlock(uint64(a)>>c.blockBits, write)
-}
-
-// LookupBlock is Lookup with the block number (addr >> BlockShift) already
-// computed; the batched engine's pure phase precomputes block columns and
-// the stateful phase probes with them. It is LookupFast composed with
-// LookupSlow; hot probe sites call the pair directly so the fast half
-// inlines (the composition itself exceeds the inliner's budget). With a
-// policy or way memo attached it dispatches to LookupBlockExt instead —
-// hot sites that cache Extended() make the same choice without the
-// per-probe nil checks.
-func (c *Cache) LookupBlock(block uint64, write bool) bool {
-	if c.pol != nil || c.memo != nil {
-		return c.LookupBlockExt(block, write)
-	}
+	block := uint64(a) >> c.blockBits
 	return c.LookupFast(block, write) || c.LookupSlow(block, write)
 }
 
-// LookupBlockExt is the probe path when a replacement policy or way memo
-// is attached: the exact LookupFast∘LookupSlow composition with the memo
-// probed first and the policy notified of hits. A memo hit resolves the
-// probe with no tag comparisons (the memo is sound: entries are
-// invalidated the moment their line leaves), leaving recency, dirty
-// bits, the MRU hint, statistics and timing exactly as the tag path
-// would have.
-func (c *Cache) LookupBlockExt(block uint64, write bool) bool {
-	c.Stats.Accesses++
-	c.clock++
-	s := int(block & c.setMask)
-	base := s * c.assoc
-	if c.memo != nil {
-		c.memo.stats.Probes++
-		if w, ok := c.memo.probe(block); ok {
-			ln := &c.lines[base+w]
-			if !ln.valid || ln.tag != block {
-				panic("cache: way-memo entry points at a non-matching line")
-			}
-			c.memo.stats.Hits++
-			ln.stamp = c.clock
-			if write {
-				ln.dirty = true
-			}
-			// The MRU hint is set exactly as the tag path would have left
-			// it, so machine state is identical with the memo on or off.
-			c.mru[s] = uint8(w)
-			c.Stats.Hits++
-			if c.pol != nil {
-				c.pol.Hit(s, w)
-			}
-			return true
-		}
-	}
-	if ln := &c.lines[base+int(c.mru[s])]; ln.valid && ln.tag == block {
-		ln.stamp = c.clock
-		if write {
-			ln.dirty = true
-		}
-		c.Stats.Hits++
-		if c.pol != nil {
-			c.pol.Hit(s, int(c.mru[s]))
-		}
-		if c.memo != nil {
-			c.memo.install(block, int(c.mru[s]))
-		}
-		return true
-	}
-	set := c.lines[base : base+c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].stamp = c.clock
-			if write {
-				set[i].dirty = true
-			}
-			c.mru[s] = uint8(i)
-			c.Stats.Hits++
-			if c.pol != nil {
-				c.pol.Hit(s, i)
-			}
-			if c.memo != nil {
-				c.memo.install(block, i)
-			}
-			return true
-		}
-	}
-	c.Stats.Misses++
-	return false
-}
-
-// LookupFast is the MRU fast path of a probe: it charges the access and
-// resolves it with a single tag compare against the way that hit last. A
-// false return has NOT completed the probe — the caller must immediately
+// LookupFast resolves a probe that hits the set's MRU line: one tag
+// compare, no recency change (the line already leads the order). It
+// declines — returning false with nothing touched — on any other probe,
+// and always while EHC or a way memo is attached; the caller must then
 // call LookupSlow with the same arguments. The split exists so this path,
 // which resolves most probes of any access stream with locality, inlines
 // at the probe site.
 func (c *Cache) LookupFast(block uint64, write bool) bool {
-	c.Stats.Accesses++
-	c.clock++
-	s := int(block & c.setMask)
-	ln := &c.lines[s*c.assoc+int(c.mru[s])]
-	if ln.valid && ln.tag == block {
-		ln.stamp = c.clock
-		if write {
-			ln.dirty = true
-		}
-		c.Stats.Hits++
-		return true
+	s := block & c.setMask
+	st := &c.sets[s]
+	w := st.order.MRU()
+	if !c.plain || st.valid>>w&1 == 0 || c.tags[int(s)*c.assoc+int(w)] != block {
+		return false
 	}
-	return false
+	c.Stats.Accesses++
+	c.Stats.Hits++
+	if write {
+		st.dirty |= 1 << w
+	}
+	return true
 }
 
-// LookupSlow completes a probe LookupFast declined: the full set walk,
-// updating recency and the MRU hint on a hit, charging the miss otherwise.
+// LookupSlow is the complete probe: the way memo first when attached (a
+// memo hit skips every tag compare; the memo is sound because entries are
+// invalidated the moment their line leaves), else the set walk. A hit
+// moves the way to the front of the order, sets the dirty bit for a
+// write, counts an EHC generation hit and memoizes the way; recency,
+// dirty bits, statistics and timing end exactly as the tag path alone
+// would leave them.
 func (c *Cache) LookupSlow(block uint64, write bool) bool {
-	s := int(block & c.setMask)
-	base := s * c.assoc
-	set := c.lines[base : base+c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].stamp = c.clock
-			if write {
-				set[i].dirty = true
+	c.Stats.Accesses++
+	s := block & c.setMask
+	w := -1
+	if c.memo != nil {
+		c.memo.stats.Probes++
+		if mw, ok := c.memo.probe(block); ok {
+			if c.sets[s].valid>>uint(mw)&1 == 0 || c.tags[int(s)*c.assoc+mw] != block {
+				panic("cache: way-memo entry points at a non-matching line")
 			}
-			c.mru[s] = uint8(i)
-			c.Stats.Hits++
-			return true
+			c.memo.stats.Hits++
+			w = mw
+		} else if w = c.find(s, block); w >= 0 {
+			c.memo.install(block, w)
 		}
+	} else {
+		w = c.find(s, block)
 	}
-	c.Stats.Misses++
-	return false
+	if w < 0 {
+		c.Stats.Misses++
+		return false
+	}
+	c.touch(s, w, write)
+	c.Stats.Hits++
+	return true
+}
+
+// touch records a hit (or a refreshing fill) on way w of set s.
+func (c *Cache) touch(s uint64, w int, dirty bool) {
+	st := &c.sets[s]
+	st.order = st.order.Touch(w)
+	if dirty {
+		st.dirty |= 1 << uint(w)
+	}
+	if c.ehc != nil {
+		c.ehc.hits[int(s)*c.assoc+w]++
+	}
 }
 
 // Contains reports whether the block containing a is resident, without
 // touching recency or statistics.
 func (c *Cache) Contains(a mem.Addr) bool {
 	block := uint64(a) >> c.blockBits
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
+	return c.find(block&c.setMask, block) >= 0
 }
 
-// VictimBlock returns the block address that a Fill for a would displace,
-// and whether that victim is a valid line. It does not modify the cache.
-func (c *Cache) VictimBlock(a mem.Addr) (mem.Addr, bool) {
-	block := uint64(a) >> c.blockBits
-	set := c.set(block)
-	vi := c.victimIndex(int(block&c.setMask), set)
-	if !set[vi].valid {
-		return 0, false
+// victim is the single victim-selection function: every fill path (Fill,
+// FillMiss, VictimWay/FillWay) routes through it. The victim is the first
+// invalid way; in a full set it is the LRU way (the order's last nibble),
+// or under EHC the fewest-expected-hits way, ties to the least recently
+// used.
+func (c *Cache) victim(s uint64) int {
+	st := &c.sets[s]
+	if c.ehc != nil && st.valid == c.full {
+		return c.ehc.victim(st.order, c.assoc, int(s)*c.assoc, c.tags)
 	}
-	return mem.Addr(set[vi].tag << c.blockBits), true
-}
-
-func lruIndex(set []line) int {
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			return i
-		}
-		if set[i].stamp < set[vi].stamp {
-			vi = i
-		}
-	}
-	return vi
-}
-
-// victimIndex is the single victim-selection seam: every fill path
-// (Fill, FillMiss, VictimWay/FillWay, VictimBlock) routes through it, so
-// "the victim choice is exactly Fill's" holds by construction rather
-// than by parallel re-implementations. With a policy attached the policy
-// owns the choice; otherwise it is the native first-invalid-else-
-// minimum-stamp walk.
-func (c *Cache) victimIndex(s int, set []line) int {
-	if c.pol != nil {
-		return c.pol.Victim(s)
-	}
-	return lruIndex(set)
+	return st.order.Victim(c.assoc, st.valid)
 }
 
 // Fill installs the block containing a, evicting the victim line of its
@@ -373,21 +302,12 @@ func (c *Cache) victimIndex(s int, set []line) int {
 // resident block just refreshes it.
 func (c *Cache) Fill(a mem.Addr, dirty bool) Evicted {
 	block := uint64(a) >> c.blockBits
-	s := int(block & c.setMask)
-	set := c.lines[s*c.assoc : (s+1)*c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			c.clock++
-			set[i].stamp = c.clock
-			set[i].dirty = set[i].dirty || dirty
-			c.mru[s] = uint8(i)
-			if c.pol != nil {
-				c.pol.Hit(s, i)
-			}
-			return Evicted{}
-		}
+	s := block & c.setMask
+	if w := c.find(s, block); w >= 0 {
+		c.touch(s, w, dirty)
+		return Evicted{}
 	}
-	return c.fillWay(block, c.victimIndex(s, set), dirty)
+	return c.fillWay(block, c.victim(s), dirty)
 }
 
 // FillMiss is Fill for a block the caller knows is absent: the Lookup that
@@ -397,21 +317,22 @@ func (c *Cache) Fill(a mem.Addr, dirty bool) Evicted {
 // on the miss path of every simulated access.
 func (c *Cache) FillMiss(a mem.Addr, dirty bool) Evicted {
 	block := uint64(a) >> c.blockBits
-	s := int(block & c.setMask)
-	return c.fillWay(block, c.victimIndex(s, c.set(block)), dirty)
+	return c.fillWay(block, c.victim(block&c.setMask), dirty)
 }
 
-// VictimWay is VictimBlock with the chosen way exposed, so a caller that
-// goes on to fill can hand the way back to FillWay instead of paying the
-// LRU scan twice. The triple is only meaningful while the set is untouched.
+// VictimWay returns the way a Fill for a would displace, with that line's
+// block address and whether it is valid, without modifying the cache. A
+// caller that goes on to fill hands the way back to FillWay instead of
+// choosing twice; the triple is only meaningful while the set is
+// untouched.
 func (c *Cache) VictimWay(a mem.Addr) (way int, victim mem.Addr, valid bool) {
 	block := uint64(a) >> c.blockBits
-	set := c.set(block)
-	vi := c.victimIndex(int(block&c.setMask), set)
-	if !set[vi].valid {
-		return vi, 0, false
+	s := block & c.setMask
+	way = c.victim(s)
+	if c.sets[s].valid>>uint(way)&1 == 0 {
+		return way, 0, false
 	}
-	return vi, mem.Addr(set[vi].tag << c.blockBits), true
+	return way, mem.Addr(c.tags[int(s)*c.assoc+way] << c.blockBits), true
 }
 
 // FillWay completes a fill into the way VictimWay chose. The caller
@@ -422,79 +343,88 @@ func (c *Cache) FillWay(a mem.Addr, way int, dirty bool) Evicted {
 
 // fillWay installs block into the given way of its set, charging eviction
 // statistics for a displaced valid line. It is the single line-install
-// site: policy Fill notifications, way-memo maintenance (invalidate the
+// site: EHC generation accounting, way-memo maintenance (invalidate the
 // evicted block's entry, then memoize the incoming block) and the Fills
 // counter all live here.
 func (c *Cache) fillWay(block uint64, way int, dirty bool) Evicted {
-	c.clock++
-	s := int(block & c.setMask)
-	ln := &c.lines[s*c.assoc+way]
+	s := block & c.setMask
+	st := &c.sets[s]
+	i := int(s)*c.assoc + way
+	bit := uint16(1) << uint(way)
 	ev := Evicted{}
-	if ln.valid {
+	if st.valid&bit != 0 {
+		old := c.tags[i]
 		ev = Evicted{
-			BlockAddr: mem.Addr(ln.tag << c.blockBits),
-			Dirty:     ln.dirty,
+			BlockAddr: mem.Addr(old << c.blockBits),
+			Dirty:     st.dirty&bit != 0,
 			Valid:     true,
 		}
 		c.Stats.Evictions++
-		if ln.dirty {
+		if ev.Dirty {
 			c.Stats.DirtyEvictions++
 		}
+		if c.ehc != nil {
+			c.ehc.endGeneration(old, i)
+		}
 		if c.memo != nil {
-			c.memo.invalidate(ln.tag)
+			c.memo.invalidate(old)
 		}
 	}
-	*ln = line{tag: block, stamp: c.clock, valid: true, dirty: dirty}
-	c.mru[s] = uint8(way)
-	c.Stats.Fills++
-	if c.pol != nil {
-		c.pol.Fill(s, way, block)
+	c.tags[i] = block
+	st.valid |= bit
+	if dirty {
+		st.dirty |= bit
+	} else {
+		st.dirty &^= bit
 	}
+	st.order = st.order.Touch(way)
+	c.Stats.Fills++
 	if c.memo != nil {
 		c.memo.install(block, way)
 	}
 	return ev
 }
 
+// invalidate clears way w of set s, ending its EHC generation and its
+// way-memo entry; it returns the line's dirty bit.
+func (c *Cache) invalidate(s uint64, w int) bool {
+	st := &c.sets[s]
+	i := int(s)*c.assoc + w
+	bit := uint16(1) << uint(w)
+	dirty := st.dirty&bit != 0
+	st.valid &^= bit
+	st.dirty &^= bit
+	if c.ehc != nil {
+		c.ehc.endGeneration(c.tags[i], i)
+	}
+	if c.memo != nil {
+		c.memo.invalidate(c.tags[i])
+	}
+	return dirty
+}
+
 // Remove invalidates the block containing a if resident, returning its
 // dirty bit. Victim-cache swaps use it.
 func (c *Cache) Remove(a mem.Addr) (dirty, ok bool) {
 	block := uint64(a) >> c.blockBits
-	s := int(block & c.setMask)
-	set := c.lines[s*c.assoc : (s+1)*c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			d := set[i].dirty
-			set[i] = line{}
-			if c.pol != nil {
-				c.pol.Invalidate(s, i)
-			}
-			if c.memo != nil {
-				c.memo.invalidate(block)
-			}
-			return d, true
-		}
+	s := block & c.setMask
+	w := c.find(s, block)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	return c.invalidate(s, w), true
 }
 
 // Flush invalidates every line and returns the number of dirty lines that a
 // real machine would have written back.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			if c.lines[i].dirty {
+	for s := range c.sets {
+		for w := 0; w < c.assoc; w++ {
+			if c.sets[s].valid>>uint(w)&1 != 0 && c.invalidate(uint64(s), w) {
 				dirty++
 			}
-			if c.pol != nil {
-				c.pol.Invalidate(i/c.assoc, i%c.assoc)
-			}
 		}
-		c.lines[i] = line{}
-	}
-	if c.memo != nil {
-		c.memo.flush()
 	}
 	return dirty
 }
@@ -502,10 +432,8 @@ func (c *Cache) Flush() int {
 // Resident returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
+	for i := range c.sets {
+		n += bits.OnesCount16(c.sets[i].valid)
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,43 @@ func TestConfigValidation(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("config %d (%+v): expected panic", i, cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// TestAssocBound checks the packed layout's width limit: a set's recency
+// order holds 16 four-bit way numbers, so 16 ways build and 17 are
+// rejected with ErrAssocTooWide.
+func TestAssocBound(t *testing.T) {
+	for _, tc := range []struct {
+		assoc int
+		ok    bool
+	}{{16, true}, {17, false}} {
+		cfg := Config{Size: 2 * tc.assoc * 16, Assoc: tc.assoc, Block: 16}
+		err := cfg.validate()
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%d ways: %v", tc.assoc, err)
+			}
+			c := New(cfg)
+			for b := 0; b < 2*tc.assoc; b++ {
+				c.Fill(mem.Addr(b*16), false)
+			}
+			if c.Resident() != 2*tc.assoc {
+				t.Fatalf("%d ways: %d lines resident after filling every way", tc.assoc, c.Resident())
+			}
+			continue
+		}
+		if !errors.Is(err, ErrAssocTooWide) {
+			t.Fatalf("%d ways: validate = %v, want ErrAssocTooWide", tc.assoc, err)
+		}
+		func() {
+			defer func() {
+				if r, _ := recover().(error); !errors.Is(r, ErrAssocTooWide) {
+					t.Fatalf("%d ways: New panicked with %v, want ErrAssocTooWide", tc.assoc, r)
 				}
 			}()
 			New(cfg)
@@ -94,20 +132,28 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	}
 }
 
+// TestVictimBlockPredictsFill checks that the victim block VictimWay
+// reports is exactly what FillWay into that way evicts.
 func TestVictimBlockPredictsFill(t *testing.T) {
 	c := smallCache()
-	if _, valid := c.VictimBlock(0x000); valid {
-		t.Fatal("cold set has a victim")
+	if way, _, valid := c.VictimWay(0x000); valid || way != 0 {
+		t.Fatalf("cold set: victim way %d valid=%v, want invalid way 0", way, valid)
 	}
 	c.Fill(0x000, false)
 	c.Fill(0x040, false)
-	pred, valid := c.VictimBlock(0x080)
+	way, pred, valid := c.VictimWay(0x080)
 	if !valid {
 		t.Fatal("full set has no victim")
 	}
-	ev := c.Fill(0x080, false)
+	if way != 0 {
+		t.Fatalf("victim way %d, want LRU way 0", way)
+	}
+	ev := c.FillWay(0x080, way, false)
 	if ev.BlockAddr != pred {
-		t.Fatalf("VictimBlock predicted %#x, Fill evicted %#x", pred, ev.BlockAddr)
+		t.Fatalf("VictimWay predicted %#x, FillWay evicted %#x", pred, ev.BlockAddr)
+	}
+	if !c.Contains(0x080) || c.Contains(0x000) || !c.Contains(0x040) {
+		t.Fatal("wrong residency after FillWay")
 	}
 }
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"selcache/internal/mem"
 )
@@ -19,35 +18,19 @@ type LineSnapshot struct {
 	Dirty     bool
 }
 
-// SnapshotSets returns, per set, the valid lines in MRU-to-LRU order
-// (recency order is derived from the internal stamps, which are unique).
-// Invalid lines are omitted, so a set slice's length is its occupancy.
+// SnapshotSets returns, per set, the valid lines in MRU-to-LRU order (the
+// set's recency order word). Invalid lines are omitted, so a set slice's
+// length is its occupancy.
 func (c *Cache) SnapshotSets() [][]LineSnapshot {
-	sets := c.cfg.Sets()
-	out := make([][]LineSnapshot, sets)
-	type stamped struct {
-		line  LineSnapshot
-		stamp uint64
-	}
-	for s := 0; s < sets; s++ {
-		set := c.lines[s*c.assoc : (s+1)*c.assoc]
-		var live []stamped
-		for i := range set {
-			if !set[i].valid {
-				continue
+	out := make([][]LineSnapshot, len(c.sets))
+	for s, st := range c.sets {
+		ways := st.order.ValidWays(c.assoc, st.valid)
+		snap := make([]LineSnapshot, len(ways))
+		for i, w := range ways {
+			snap[i] = LineSnapshot{
+				BlockAddr: mem.Addr(c.tags[s*c.assoc+w] << c.blockBits),
+				Dirty:     st.dirty>>uint(w)&1 != 0,
 			}
-			live = append(live, stamped{
-				line: LineSnapshot{
-					BlockAddr: mem.Addr(set[i].tag << c.blockBits),
-					Dirty:     set[i].dirty,
-				},
-				stamp: set[i].stamp,
-			})
-		}
-		sort.Slice(live, func(a, b int) bool { return live[a].stamp > live[b].stamp })
-		snap := make([]LineSnapshot, len(live))
-		for i := range live {
-			snap[i] = live[i].line
 		}
 		out[s] = snap
 	}
@@ -129,10 +112,10 @@ func (c *Cache) CheckWayMemo() error {
 		if int(e.tag&c.memo.mask) != i {
 			return fmt.Errorf("way memo: slot %d holds tag %#x that maps to slot %d", i, e.tag, e.tag&c.memo.mask)
 		}
-		ln := &c.lines[s*c.assoc+int(e.way)]
-		if !ln.valid || ln.tag != e.tag {
+		valid := c.sets[s].valid>>e.way&1 != 0
+		if tag := c.tags[s*c.assoc+int(e.way)]; !valid || tag != e.tag {
 			return fmt.Errorf("way memo: slot %d says block %#x sits in set %d way %d, but that line holds valid=%v tag %#x",
-				i, e.tag, s, e.way, ln.valid, ln.tag)
+				i, e.tag, s, e.way, valid, tag)
 		}
 	}
 	st := c.memo.stats

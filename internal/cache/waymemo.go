@@ -82,15 +82,6 @@ func (m *wayMemo) invalidate(block uint64) {
 	}
 }
 
-func (m *wayMemo) flush() {
-	for i := range m.slots {
-		if m.slots[i].valid {
-			m.slots[i] = memoEntry{}
-			m.stats.Invalidates++
-		}
-	}
-}
-
 func (m *wayMemo) live() uint64 {
 	n := uint64(0)
 	for i := range m.slots {

@@ -4,7 +4,7 @@
 // fully-associative victim caches and bypass buffer, MAT/SLDT, TLB, miss
 // classifier), run in lockstep with the real sim.Machine and cross-checked
 // after every emitted event. The reference trades every optimization in
-// the engine — stamp-based LRU, MRU hints, open-addressed hash indexes,
+// the engine — packed recency-order words, open-addressed hash indexes,
 // cached reciprocals — for explicit recency-ordered slices, linear scans
 // and plain division, so that any divergence between the two is a bug in
 // one of them (and, given the reference's simplicity, almost always in the

@@ -1,14 +1,11 @@
 package oracle
 
-import (
-	"selcache/internal/cache"
-	"selcache/internal/cache/policy"
-)
+import "selcache/internal/cache"
 
-// This file holds the naive reference models of the replacement-policy
-// and way-memoization mechanisms (internal/cache/policy, the cache's way
-// memo). As everywhere in this package, state is explicit and indexing
-// is plain modulo: the reference EHC keeps its hit counts directly on
+// This file holds the naive reference models of the cache's
+// Expected-Hit-Count replacement and way-memoization mechanisms. As
+// everywhere in this package, state is explicit and indexing is plain
+// modulo: the reference EHC keeps its hit counts directly on
 // the recency-ordered set slices of refCache, and the reference way memo
 // is a plain slice of {tag, valid} slots.
 
@@ -34,7 +31,7 @@ func (e *refEHC) slot(block uint64) *refEHCSlot {
 
 // endGeneration trains the history with a finished generation's hit
 // count: averaged into the prediction on a tag match, replacing the slot
-// otherwise — exactly policy.EHC.
+// otherwise — exactly the cache's EHC.
 func (e *refEHC) endGeneration(block, hits uint64) {
 	h := e.slot(block)
 	if h.valid && h.tag == block {
@@ -54,12 +51,12 @@ func (e *refEHC) expected(ln refLine) uint64 {
 	return 0
 }
 
-// snapshot renders the history in policy.EHC.SnapshotHistory form.
-func (e *refEHC) snapshot() []policy.EHCHistSnapshot {
-	var out []policy.EHCHistSnapshot
+// snapshot renders the history in cache.SnapshotEHC form.
+func (e *refEHC) snapshot() []cache.EHCHistSnapshot {
+	var out []cache.EHCHistSnapshot
 	for i := range e.hist {
 		if e.hist[i].valid {
-			out = append(out, policy.EHCHistSnapshot{Slot: i, Tag: e.hist[i].tag, Pred: e.hist[i].pred})
+			out = append(out, cache.EHCHistSnapshot{Slot: i, Tag: e.hist[i].tag, Pred: e.hist[i].pred})
 		}
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"selcache/internal/cache"
-	"selcache/internal/cache/policy"
 	"selcache/internal/mat"
 	"selcache/internal/mem"
 	"selcache/internal/tlb"
@@ -15,7 +14,7 @@ import (
 // model is written straight from the unit's documented policy: LRU order
 // is an explicit slice with the most-recently-used element first, lookups
 // are linear scans, and set/slot indexing is plain modulo arithmetic. No
-// stamps, no MRU hints, no open addressing — if it is not obvious, it does
+// packed order words, no open addressing — if it is not obvious, it does
 // not belong here.
 
 // refLine is one resident block (or page, or double word) of a reference
@@ -40,7 +39,7 @@ func moveToFront(entries []refLine, i int) {
 // the minimum-expected-hits line, ties to the least recently used. A
 // reference way memo (memo non-nil) is consulted before the tag scan and
 // maintained at every install and invalidation, mirroring
-// cache.LookupBlockExt's event order exactly.
+// cache.LookupSlow's event order exactly.
 type refCache struct {
 	cfg  cache.Config
 	sets [][]refLine // each ordered MRU first
@@ -118,9 +117,8 @@ func (c *refCache) contains(a mem.Addr) bool {
 // victimIndex picks the line a fill into a full set displaces: the LRU
 // line (the last element) for LRU replacement, or the minimum-expected-
 // hits line under EHC. The scan walks LRU-to-MRU with a strict minimum,
-// so expectation ties go to the least recently used line — the same
-// lexicographic (expected, recency) minimum policy.EHC computes with
-// stamps.
+// so expectation ties go to the least recently used line — the same walk
+// the cache's EHC victim makes over its recency-order word.
 func (c *refCache) victimIndex(set []refLine) int {
 	if c.ehc == nil {
 		return len(set) - 1
@@ -242,13 +240,13 @@ func (c *refCache) snapshot() [][]cache.LineSnapshot {
 }
 
 // snapshotEHC renders the per-line generation hit counts in
-// policy.EHC.SnapshotSets form (valid lines MRU first).
-func (c *refCache) snapshotEHC() [][]policy.EHCLineSnapshot {
-	out := make([][]policy.EHCLineSnapshot, len(c.sets))
+// cache.SnapshotEHC form (valid lines MRU first).
+func (c *refCache) snapshotEHC() [][]cache.EHCLineSnapshot {
+	out := make([][]cache.EHCLineSnapshot, len(c.sets))
 	for s, set := range c.sets {
-		snap := make([]policy.EHCLineSnapshot, len(set))
+		snap := make([]cache.EHCLineSnapshot, len(set))
 		for i, ln := range set {
-			snap[i] = policy.EHCLineSnapshot{Block: ln.block, Hits: ln.hits}
+			snap[i] = cache.EHCLineSnapshot{Block: ln.block, Hits: ln.hits}
 		}
 		out[s] = snap
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"selcache/internal/cache/policy"
 	"selcache/internal/mem"
 	"selcache/internal/sim"
 	"selcache/internal/trace"
@@ -298,12 +297,12 @@ func (s *Shadow) compareDeep(ev trace.Event) {
 			s.record(ev, "L2 way-memo soundness", err.Error(), "(reference state matches)")
 		}
 	}
-	if p1, ok := c.L1.Policy().(*policy.EHC); ok {
-		s.check(ev, "L1 EHC lines", p1.SnapshotSets(), r.l1.snapshotEHC())
-		s.check(ev, "L1 EHC history", p1.SnapshotHistory(), r.l1.ehc.snapshot())
-		p2 := c.L2.Policy().(*policy.EHC)
-		s.check(ev, "L2 EHC lines", p2.SnapshotSets(), r.l2.snapshotEHC())
-		s.check(ev, "L2 EHC history", p2.SnapshotHistory(), r.l2.ehc.snapshot())
+	if lines1, hist1, ok := c.L1.SnapshotEHC(); ok {
+		s.check(ev, "L1 EHC lines", lines1, r.l1.snapshotEHC())
+		s.check(ev, "L1 EHC history", hist1, r.l1.ehc.snapshot())
+		lines2, hist2, _ := c.L2.SnapshotEHC()
+		s.check(ev, "L2 EHC lines", lines2, r.l2.snapshotEHC())
+		s.check(ev, "L2 EHC history", hist2, r.l2.ehc.snapshot())
 	}
 	if s.div != nil {
 		return

@@ -170,8 +170,7 @@ func (k HWKind) String() string {
 type PolicyKind int
 
 const (
-	// PolicyLRU is true-LRU replacement — the default, served by the
-	// caches' native stamp path (no policy object attached).
+	// PolicyLRU is true-LRU replacement — the default.
 	PolicyLRU PolicyKind = iota
 	// PolicyEHC is Expected-Hit-Count replacement (arXiv 1808.05024).
 	PolicyEHC
@@ -210,7 +209,7 @@ type Options struct {
 	Classify bool
 
 	// Policy selects the replacement policy for both cache levels.
-	// PolicyLRU (the zero value) runs the native stamp path untouched.
+	// PolicyLRU (the zero value) is plain true-LRU.
 	Policy PolicyKind
 	// WayMemo enables the way-memoization tables on both cache levels.
 	// Timing and hit/miss statistics are unaffected (a memo hit is a

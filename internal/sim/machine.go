@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"selcache/internal/cache"
-	"selcache/internal/cache/policy"
 	"selcache/internal/energy"
 	"selcache/internal/mat"
 	"selcache/internal/mem"
@@ -94,12 +93,6 @@ type Machine struct {
 	vc1      *cache.Victim
 	vc2      *cache.Victim
 
-	// ext caches l1.Extended() (a policy or way memo is attached; both
-	// levels always agree): probe sites branch on it to pick the
-	// LookupBlockExt path without per-probe nil checks, leaving the
-	// default LookupFast/LookupSlow pair — and its inlining — untouched.
-	ext bool
-
 	hwOn bool
 
 	cycles        float64
@@ -137,15 +130,15 @@ func NewMachine(cfg Config, opt Options) *Machine {
 }
 
 // Reset puts the machine in exactly the state NewMachine(cfg, opt) builds,
-// reusing the storage of its previous run where it fits: the L1 and L2
-// line arrays when their geometry is unchanged, and the MAT entries when
-// the MAT configuration is. Everything else (TLB, classifiers, SLDT,
-// bypass buffer, victim caches, replacement policies and way memos) is
-// built afresh, and every counter starts at zero. The zero Machine is
-// ready for Reset.
+// reusing the storage of its previous run where it fits: the L1, L2 and
+// TLB arrays when their geometry is unchanged, and the MAT entries when
+// the MAT configuration is. Everything else (classifiers, SLDT, bypass
+// buffer, victim caches, EHC state and way memos) is built afresh, and
+// every counter starts at zero. The zero Machine is ready for Reset.
 func (m *Machine) Reset(cfg Config, opt Options) {
 	opt = opt.withDefaults()
 	l1, l2 := reuseCache(m.l1, cfg.L1), reuseCache(m.l2, cfg.L2)
+	dtlb := reuseTLB(m.dtlb, cfg.TLB)
 	matStore, colBlock, colPage := m.matStore, m.colBlock, m.colPage
 	outstanding := m.outstanding[:0]
 	if cap(outstanding) != cfg.MLP {
@@ -156,7 +149,7 @@ func (m *Machine) Reset(cfg Config, opt Options) {
 		opt:         opt,
 		l1:          l1,
 		l2:          l2,
-		dtlb:        tlb.New(cfg.TLB),
+		dtlb:        dtlb,
 		matStore:    matStore,
 		hwOn:        opt.InitiallyOn,
 		outstanding: outstanding,
@@ -186,14 +179,13 @@ func (m *Machine) Reset(cfg Config, opt Options) {
 		m.vc2 = cache.NewVictim(opt.L2VictimEntries, cfg.L2.Block)
 	}
 	if opt.Policy == PolicyEHC {
-		m.l1.SetPolicy(policy.NewEHC(cfg.L1.Sets(), cfg.L1.Assoc, opt.EHCHistoryEntries))
-		m.l2.SetPolicy(policy.NewEHC(cfg.L2.Sets(), cfg.L2.Assoc, opt.EHCHistoryEntries))
+		m.l1.EnableEHC(opt.EHCHistoryEntries)
+		m.l2.EnableEHC(opt.EHCHistoryEntries)
 	}
 	if opt.WayMemo {
 		m.l1.EnableWayMemo(opt.L1MemoEntries)
 		m.l2.EnableWayMemo(opt.L2MemoEntries)
 	}
-	m.ext = m.l1.Extended()
 	m.l1Shift = m.l1.BlockShift()
 	m.pageShift = m.dtlb.PageShift()
 }
@@ -205,6 +197,15 @@ func reuseCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
 	}
 	c.Reset()
 	return c
+}
+
+// reuseTLB returns t emptied when it has geometry cfg, else a new TLB.
+func reuseTLB(t *tlb.TLB, cfg tlb.Config) *tlb.TLB {
+	if t == nil || t.Config() != cfg {
+		return tlb.New(cfg)
+	}
+	t.Reset()
+	return t
 }
 
 // HWActive reports the current state of the run-time optimization flag.
@@ -314,12 +315,7 @@ func (m *Machine) access1(addr mem.Addr, write bool, block, page uint64) {
 		m.sldt.Observe(addr)
 	}
 
-	var hit bool
-	if m.ext {
-		hit = m.l1.LookupBlockExt(block, write)
-	} else {
-		hit = m.l1.LookupFast(block, write) || m.l1.LookupSlow(block, write)
-	}
+	hit := m.l1.LookupFast(block, write) || m.l1.LookupSlow(block, write)
 	if m.cls1 != nil {
 		m.cls1.Observe(addr, !hit)
 	}
@@ -392,12 +388,7 @@ func (m *Machine) fetch(addr mem.Addr, dword bool, hw bool) float64 {
 		fill = 1
 	}
 	b2 := uint64(addr) >> m.l2.BlockShift()
-	var l2hit bool
-	if m.ext {
-		l2hit = m.l2.LookupBlockExt(b2, false)
-	} else {
-		l2hit = m.l2.LookupFast(b2, false) || m.l2.LookupSlow(b2, false)
-	}
+	l2hit := m.l2.LookupFast(b2, false) || m.l2.LookupSlow(b2, false)
 	if m.cls2 != nil {
 		m.cls2.Observe(addr, !l2hit)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"selcache/internal/cache"
-	"selcache/internal/cache/policy"
 	"selcache/internal/mat"
 	"selcache/internal/mem"
 )
@@ -56,9 +55,9 @@ type machineState struct {
 	L1, L2      [][]cache.LineSnapshot
 	Memo1       []cache.WayMemoSnapshot
 	Memo2       []cache.WayMemoSnapshot
-	EHC1, EHC2  [][]policy.EHCLineSnapshot
-	Hist1       []policy.EHCHistSnapshot
-	Hist2       []policy.EHCHistSnapshot
+	EHC1, EHC2  [][]cache.EHCLineSnapshot
+	Hist1       []cache.EHCHistSnapshot
+	Hist2       []cache.EHCHistSnapshot
 	TLB         [][]uint64
 	MAT         []mat.EntrySnapshot
 	MATAge      uint64
@@ -81,12 +80,8 @@ func snapshotMachine(m *Machine) machineState {
 		TLB:         c.TLB.SnapshotSets(),
 		Classifiers: c.Cls1 != nil,
 	}
-	if p, ok := c.L1.Policy().(*policy.EHC); ok {
-		s.EHC1, s.Hist1 = p.SnapshotSets(), p.SnapshotHistory()
-	}
-	if p, ok := c.L2.Policy().(*policy.EHC); ok {
-		s.EHC2, s.Hist2 = p.SnapshotSets(), p.SnapshotHistory()
-	}
+	s.EHC1, s.Hist1, _ = c.L1.SnapshotEHC()
+	s.EHC2, s.Hist2, _ = c.L2.SnapshotEHC()
 	if c.MAT != nil {
 		s.MAT, s.MATAge = c.MAT.Snapshot(), c.MAT.SinceAge()
 		s.SLDT, s.Buffer = c.SLDT.Snapshot(), c.Buffer.Snapshot()
@@ -159,23 +154,24 @@ func TestResetMatchesNewMachine(t *testing.T) {
 	}
 }
 
-// TestResetReusesTables pins the point of Reset: the large tables survive
-// a reset whose geometry and MAT configuration are unchanged, across
-// mechanism-less runs in between, and are replaced when either changes.
+// TestResetReusesTables pins the point of Reset: the cache, TLB and MAT
+// tables survive a reset whose geometry and MAT configuration are
+// unchanged, across mechanism-less runs in between, and are replaced when
+// either changes.
 func TestResetReusesTables(t *testing.T) {
 	bypass := Options{Mechanism: HWBypass, InitiallyOn: true}
 	m := NewMachine(Base(), bypass)
-	l1, l2, matT := m.l1, m.l2, m.matT
+	l1, l2, dtlb, matT := m.l1, m.l2, m.dtlb, m.matT
 	m.Reset(Base(), Options{})
 	m.Reset(Base(), bypass)
-	if m.l1 != l1 || m.l2 != l2 || m.matT != matT {
+	if m.l1 != l1 || m.l2 != l2 || m.dtlb != dtlb || m.matT != matT {
 		t.Fatal("reset with unchanged geometry and MAT config reallocated a table")
 	}
 	other := bypass
 	other.MAT = mat.DefaultConfig()
 	other.MAT.Entries = 1024
 	m.Reset(Base().WithL1Size(64<<10), other)
-	if m.l1 == l1 || m.l2 != l2 || m.matT == matT {
+	if m.l1 == l1 || m.l2 != l2 || m.dtlb != dtlb || m.matT == matT {
 		t.Fatal("reset kept a table whose geometry or configuration changed")
 	}
 	if got := m.l1.Config(); got != Base().WithL1Size(64<<10).L1 {

@@ -5,10 +5,11 @@
 package tlb
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 
+	"selcache/internal/cache"
 	"selcache/internal/mem"
 )
 
@@ -28,24 +29,26 @@ type Stats struct {
 	Misses   uint64
 }
 
-type entry struct {
-	tag   uint64
-	stamp uint64
-	valid bool
+// ErrAssocTooWide reports an associativity above cache.MaxAssoc ways.
+var ErrAssocTooWide = errors.New("tlb: associativity above 16 ways")
+
+// setState is a set's recency order and valid mask; its page tags live
+// beside it in TLB.tags.
+type setState struct {
+	order cache.Order
+	valid uint16
 }
 
-// TLB is a set-associative, LRU translation buffer.
+// TLB is a set-associative, LRU translation buffer in the same packed
+// layout as cache.Cache: page tags with a set's ways contiguous, and one
+// {order, valid} word per set.
 type TLB struct {
+	cfg      Config
 	pageBits uint
 	setMask  uint64
 	assoc    int
-	entries  []entry
-	clock    uint64
-	// mru holds, per set, the way of the last hit or fill; Translate
-	// probes it before the full scan. Accesses cluster on the current
-	// page, so the fast path is one tag compare. The hint is advisory
-	// and never affects replacement, so stats and timing are unchanged.
-	mru []uint8
+	tags     []uint64
+	sets     []setState
 	// Stats accumulates access/miss counters.
 	Stats Stats
 }
@@ -56,19 +59,38 @@ func New(cfg Config) *TLB {
 	switch {
 	case cfg.Entries <= 0 || cfg.Assoc <= 0:
 		panic(fmt.Sprintf("tlb: bad config %+v", cfg))
+	case cfg.Assoc > cache.MaxAssoc:
+		panic(fmt.Errorf("%w: %d", ErrAssocTooWide, cfg.Assoc))
 	case cfg.PageSize <= 0 || cfg.PageSize&(cfg.PageSize-1) != 0:
 		panic(fmt.Sprintf("tlb: page size %d not a power of two", cfg.PageSize))
 	case cfg.Entries%cfg.Assoc != 0 || sets&(sets-1) != 0:
 		panic(fmt.Sprintf("tlb: %d entries / %d ways does not give power-of-two sets", cfg.Entries, cfg.Assoc))
 	}
-	return &TLB{
+	t := &TLB{
+		cfg:      cfg,
 		pageBits: uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		setMask:  uint64(sets - 1),
 		assoc:    cfg.Assoc,
-		entries:  make([]entry, cfg.Entries),
-		mru:      make([]uint8, sets),
+		tags:     make([]uint64, cfg.Entries),
+		sets:     make([]setState, sets),
 	}
+	t.Reset()
+	return t
 }
+
+// Reset empties the TLB without reallocating its arrays: every entry
+// invalid and the counters zero — the state New builds.
+func (t *TLB) Reset() {
+	clear(t.tags)
+	init := setState{order: cache.InitialOrder(t.assoc)}
+	for i := range t.sets {
+		t.sets[i] = init
+	}
+	t.Stats = Stats{}
+}
+
+// Config returns the TLB's geometry.
+func (t *TLB) Config() Config { return t.cfg }
 
 // PageShift returns log2 of the page size: addr >> PageShift() is the page
 // number Translate works with. The batched replay engine precomputes page
@@ -83,89 +105,62 @@ func (t *TLB) Translate(a mem.Addr) bool {
 
 // TranslatePage is Translate with the page number (addr >> PageShift)
 // already computed by the batched engine's pure phase. It is TranslateFast
-// composed with TranslateSlow; hot probe sites call the pair directly so
-// the fast half inlines (the composition itself exceeds the inliner's
+// composed with TranslateSlow; hot probe sites write the pair out so the
+// fast half inlines (the composition itself exceeds the inliner's
 // budget).
 func (t *TLB) TranslatePage(page uint64) bool {
 	return t.TranslateFast(page) || t.TranslateSlow(page)
 }
 
-// TranslateFast is the MRU fast path of a translation: it charges the
-// access and resolves it with a single tag compare against the way that
-// hit last. A false return has NOT completed the translation — the caller
-// must immediately call TranslateSlow with the same page. The split exists
-// so this path, which resolves most translations (accesses cluster on the
-// current page), inlines at the probe site.
+// TranslateFast resolves a translation of the set's MRU page: one tag
+// compare, no recency change. It declines — returning false with nothing
+// touched — on any other page; the caller must then call TranslateSlow
+// with the same page. The split exists so this path, which resolves most
+// translations (accesses cluster on the current page), inlines at the
+// probe site.
 func (t *TLB) TranslateFast(page uint64) bool {
-	t.Stats.Accesses++
-	t.clock++
-	s := int(page & t.setMask)
-	e := &t.entries[s*t.assoc+int(t.mru[s])]
-	if e.valid && e.tag == page {
-		e.stamp = t.clock
-		return true
+	s := page & t.setMask
+	st := &t.sets[s]
+	w := st.order.MRU()
+	if st.valid>>w&1 == 0 || t.tags[int(s)*t.assoc+int(w)] != page {
+		return false
 	}
-	return false
+	t.Stats.Accesses++
+	return true
 }
 
-// TranslateSlow completes a translation TranslateFast declined: the full
-// set walk, filling on a miss.
+// TranslateSlow is the complete translation: the set walk, filling the
+// first invalid way (else the LRU way) on a miss. Either way the page's
+// way moves to the front of the order.
 func (t *TLB) TranslateSlow(page uint64) bool {
-	s := int(page & t.setMask)
-	base := s * t.assoc
-	set := t.entries[base : base+t.assoc]
-	// One pass resolves both the hit check and the victim choice: the
-	// victim is the first invalid way, else the first minimum-stamp way.
-	inv, mi := -1, -1
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			if inv < 0 {
-				inv = i
-			}
-			continue
-		}
-		if e.tag == page {
-			e.stamp = t.clock
-			t.mru[s] = uint8(i)
+	t.Stats.Accesses++
+	s := page & t.setMask
+	st := &t.sets[s]
+	base := int(s) * t.assoc
+	for i, tag := range t.tags[base : base+t.assoc] {
+		if tag == page && st.valid>>uint(i)&1 != 0 {
+			st.order = st.order.Touch(i)
 			return true
 		}
-		if mi < 0 || e.stamp < set[mi].stamp {
-			mi = i
-		}
-	}
-	vi := inv
-	if vi < 0 {
-		vi = mi
 	}
 	t.Stats.Misses++
-	set[vi] = entry{tag: page, stamp: t.clock, valid: true}
-	t.mru[s] = uint8(vi)
+	vi := st.order.Victim(t.assoc, st.valid)
+	t.tags[base+vi] = page
+	st.valid |= 1 << uint(vi)
+	st.order = st.order.Touch(vi)
 	return false
 }
 
 // SnapshotSets returns, per set, the resident page numbers in MRU-to-LRU
-// order (derived from the internal stamps, which are unique). It exists
-// for the differential oracle (internal/oracle) and is cold-path only.
+// order (the set's recency order word). It exists for the differential
+// oracle (internal/oracle) and is cold-path only.
 func (t *TLB) SnapshotSets() [][]uint64 {
-	sets := int(t.setMask) + 1
-	out := make([][]uint64, sets)
-	type stamped struct {
-		page  uint64
-		stamp uint64
-	}
-	for s := 0; s < sets; s++ {
-		set := t.entries[s*t.assoc : (s+1)*t.assoc]
-		var live []stamped
-		for i := range set {
-			if set[i].valid {
-				live = append(live, stamped{page: set[i].tag, stamp: set[i].stamp})
-			}
-		}
-		sort.Slice(live, func(a, b int) bool { return live[a].stamp > live[b].stamp })
-		pages := make([]uint64, len(live))
-		for i := range live {
-			pages[i] = live[i].page
+	out := make([][]uint64, len(t.sets))
+	for s, st := range t.sets {
+		ways := st.order.ValidWays(t.assoc, st.valid)
+		pages := make([]uint64, len(ways))
+		for i, w := range ways {
+			pages[i] = t.tags[s*t.assoc+w]
 		}
 		out[s] = pages
 	}
