@@ -139,3 +139,4 @@ fuzz-smoke:
 	$(GO) test ./internal/regions -fuzz FuzzMarkerBalance -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/oracle -fuzz FuzzSynthOracleEquivalence -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/oracle -fuzz FuzzPolicyOracleEquivalence -fuzztime 20s -run '^$$'
+	$(GO) test ./internal/sim -fuzz FuzzEmitBlockMatchesEmit -fuzztime 20s -run '^$$'

@@ -192,18 +192,14 @@ func BenchmarkAccessHotPath(b *testing.B) {
 }
 
 // BenchmarkSimulatorEventThroughput measures the per-access cost of the
-// columnar batched engine on a uniformly random address stream — the
-// locality-free worst case, where every event misses most of the simulated
-// set arrays. Column fill is timed: it is the same work the trace block
-// cursor does per replayed batch. The ...Scalar variant feeds the identical
-// stream through per-event Access calls for comparison.
+// batched engine on a uniformly random address stream — the locality-free
+// worst case, where every event misses most of the simulated set arrays.
+// Word packing is timed along with EmitBlock. The ...Scalar variant feeds
+// the identical stream through per-event Access calls for comparison.
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	m := sim.NewMachine(sim.Base(), sim.Options{Mechanism: sim.HWBypass, InitiallyOn: true})
 	blk := trace.NewBlock(trace.DefaultBlockEvents)
-	for i := range blk.Kind {
-		blk.Kind[i] = mem.EvAccess
-		blk.Size[i] = 8
-	}
+	words := blk.Buf()
 	x := uint64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -214,8 +210,7 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 		}
 		for i := 0; i < n; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			blk.Addr[i] = mem.Addr(x >> 40)
-			blk.Write[i] = (done+i)&7 == 0
+			words[i] = mem.AccessWord(mem.Addr(x>>40), mem.AccessTag(8, (done+i)&7 == 0))
 		}
 		blk.SetLen(n)
 		m.EmitBlock(blk)

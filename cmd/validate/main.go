@@ -4,7 +4,7 @@
 // in lockstep with cross-checking after every event. It also checks the
 // compiled loopir interpreter against the tree-walking reference
 // interpreter for every workload's stream classes, validates the marker
-// protocol of selective streams, and cross-checks the columnar batched
+// protocol of selective streams, and cross-checks the batched block
 // replay engine against the scalar path (recorded trace, both replays,
 // RunStats compared field by field).
 //
@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Batched-replay equivalence: record each cell's trace once and replay
-	// it through both the scalar and the columnar engine; every statistic
+	// it through both the scalar and the block engine; every statistic
 	// the run produces must match exactly.
 	batched := parallel.Map(parallel.Workers(*workers), len(cells), func(i int) interpResult {
 		return interpResult{name: "batched " + cells[i].name(), err: checkBatchedReplay(cells[i])}
@@ -307,7 +307,7 @@ func runCell(c cell, checkEvery uint64) error {
 }
 
 // checkBatchedReplay records the cell's event stream and replays it twice —
-// through the scalar event-at-a-time path and through the columnar batched
+// through the scalar event-at-a-time path and through the batched block
 // engine — and requires the full RunStats to match exactly (WallNanos, the
 // one nondeterministic field, zeroed).
 func checkBatchedReplay(c cell) error {

@@ -8,7 +8,7 @@ import (
 	"selcache/internal/workloads"
 )
 
-// TestBatchedReplayEquivalence is the golden suite for the columnar batched
+// TestBatchedReplayEquivalence is the golden suite for the batched block
 // replay engine: for every workload × version cell, a recorded trace
 // replayed through the batched path must produce RunStats byte-identical to
 // the scalar event-at-a-time path (WallNanos, the one host-timing field,

@@ -180,8 +180,7 @@ func (c *Cache) BlockAddr(a mem.Addr) mem.Addr {
 }
 
 // BlockShift returns log2 of the line size: addr >> BlockShift() is the
-// block number Lookup works with. The batched replay engine precomputes
-// block columns with it.
+// block number Lookup works with.
 func (c *Cache) BlockShift() uint { return c.blockBits }
 
 // find returns the way of set s holding block, or -1.

@@ -108,18 +108,15 @@ func ReplayTraceScalar(t *trace.Trace, v Version, o Options) Result {
 	return Result{Version: v, Sim: st}
 }
 
-// ReplayTraceBuffered is ReplayTrace with a caller-owned reusable decode
-// block: sweep workers replaying hundreds of streams reuse one SoA block
-// per worker (first-touched on that worker, see parallel.Arena) instead of
-// allocating one per replay. A nil blk allocates privately; streams the
-// packed form cannot represent fall back to the scalar path.
+// ReplayTraceBuffered is ReplayTrace with a caller-owned reusable block:
+// sweep workers replaying hundreds of streams reuse one block per worker
+// (see parallel.Arena) instead of allocating one per replay. A nil blk
+// allocates privately.
 func ReplayTraceBuffered(t *trace.Trace, v Version, o Options, blk *trace.Block) Result {
 	o = o.normalized()
 	machine := sim.NewMachine(o.Machine, simOptions(v, o))
 	start := time.Now()
-	if !t.ReplayBatched(machine, blk) {
-		t.ReplayScalar(machine)
-	}
+	t.ReplayBatched(machine, blk)
 	st := machine.Finish()
 	st.WallNanos = time.Since(start).Nanoseconds()
 	return Result{Version: v, Sim: st}

@@ -22,10 +22,10 @@ import (
 	"selcache/internal/workloads"
 )
 
-// blockArena builds the per-worker arena of reusable SoA decode blocks the
-// sweeps hand to core.ReplayTraceBuffered: one block per worker, padded and
+// blockArena builds the per-worker arena of reusable blocks the sweeps hand
+// to core.ReplayTraceBuffered: one block per worker, padded and
 // first-touched on that worker (parallel.Arena), so replay never allocates
-// per cell and workers never false-share decode state.
+// per cell and workers never false-share block state.
 func blockArena(workers int) *parallel.Arena[trace.Block] {
 	return parallel.NewArena(workers, func() *trace.Block {
 		return trace.NewBlock(trace.DefaultBlockEvents)

@@ -9,12 +9,11 @@ func TestEventBlockCapacityFloor(t *testing.T) {
 		}
 	}
 	b := NewEventBlock(16)
-	if b.Cap() != 16 || b.Len() != 0 {
+	if b.Cap() != 16 || b.Len() != 0 || len(b.Words()) != 0 {
 		t.Fatalf("new block len/cap = %d/%d, want 0/16", b.Len(), b.Cap())
 	}
-	if len(b.Addr) != 16 || len(b.Size) != 16 || len(b.Write) != 16 ||
-		len(b.N) != 16 || len(b.Count) != 16 {
-		t.Fatal("column lengths disagree with capacity")
+	if len(b.Buf()) != 16 {
+		t.Fatalf("Buf() holds %d words, want the capacity 16", len(b.Buf()))
 	}
 }
 
@@ -22,7 +21,7 @@ func TestEventBlockSetLenBounds(t *testing.T) {
 	b := NewEventBlock(4)
 	for _, n := range []int{0, 1, 4} {
 		b.SetLen(n)
-		if b.Len() != n {
+		if b.Len() != n || len(b.Words()) != n {
 			t.Fatalf("SetLen(%d); Len() = %d", n, b.Len())
 		}
 	}
@@ -36,23 +35,39 @@ func TestEventBlockSetLenBounds(t *testing.T) {
 			b.SetLen(n)
 		}()
 	}
+	words := make([]uint64, 5)
+	b.SetWindow(words[:4])
+	if b.Len() != 4 || &b.Words()[0] != &words[0] {
+		t.Fatal("SetWindow copied its words or changed their count")
+	}
+	if cap(b.Words()) != 4 {
+		t.Fatalf("window capacity %d reaches past its length 4", cap(b.Words()))
+	}
+	if b.Cap() != 4 {
+		t.Fatalf("SetWindow changed Cap() to %d", b.Cap())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetWindow of 5 words into a 4-word block did not panic")
+			}
+		}()
+		b.SetWindow(words)
+	}()
 }
 
 func TestEventBlockEmitReference(t *testing.T) {
 	b := NewEventBlock(8)
+	buf := b.Buf()
 	// marker-on, read, folded compute run (3 × Compute(5)), write,
 	// marker-off; the remaining capacity stays outside Len.
-	b.Kind[0] = EvMarkerOn
-	b.Kind[1] = EvAccess
-	b.Addr[1], b.Size[1], b.Write[1] = 0x1000, 8, false
-	b.Kind[2] = EvCompute
-	b.N[2], b.Count[2] = 5, 3
-	b.Kind[3] = EvAccess
-	b.Addr[3], b.Size[3], b.Write[3] = 0x2000, 4, true
-	b.Kind[4] = EvMarkerOff
+	buf[0] = MarkerWord(true)
+	buf[1] = AccessWord(0x1000, AccessTag(8, false))
+	buf[2] = ComputeWord(5, 3)
+	buf[3] = AccessWord(0x2000, AccessTag(4, true))
+	buf[4] = MarkerWord(false)
 	// Stale garbage beyond Len must not be replayed.
-	b.Kind[5] = EvAccess
-	b.Addr[5] = 0xdead
+	buf[5] = AccessWord(0xdead, AccessTag(1, true))
 	b.SetLen(5)
 
 	var c CountingEmitter
@@ -66,5 +81,33 @@ func TestEventBlockEmitReference(t *testing.T) {
 	// 2 access instructions + 2 marker instructions + 3 runs of Compute(5).
 	if want := uint64(2 + 2 + 3*5); c.Instructions != want {
 		t.Fatalf("instructions=%d, want %d", c.Instructions, want)
+	}
+}
+
+// TestWordFieldsRoundTrip checks that every packed field survives at its
+// extremes and that no field bleeds into another.
+func TestWordFieldsRoundTrip(t *testing.T) {
+	for _, a := range []Addr{0, 1, 0x1234_5678, MaxWordAddr} {
+		for _, size := range []uint8{1, 2, 4, 8} {
+			for _, write := range []bool{false, true} {
+				w := AccessWord(a, AccessTag(size, write))
+				if WordKind(w) != EvAccess || WordAddr(w) != a || WordSize(w) != size || WordWrite(w) != write {
+					t.Fatalf("access (%#x, %d, %v) packs to %#x decodes to kind %d addr %#x size %d write %v",
+						a, size, write, w, WordKind(w), WordAddr(w), WordSize(w), WordWrite(w))
+				}
+			}
+		}
+	}
+	for _, n := range []uint64{1, 7, MaxWordN} {
+		for _, count := range []uint64{1, 3, MaxWordCount} {
+			w := ComputeWord(n, count)
+			gn, gc := WordCompute(w)
+			if WordKind(w) != EvCompute || uint64(gn) != n || gc != count {
+				t.Fatalf("ComputeWord(%d, %d) decodes to kind %d, %d x %d", n, count, WordKind(w), gn, gc)
+			}
+		}
+	}
+	if WordKind(MarkerWord(true)) != EvMarkerOn || WordKind(MarkerWord(false)) != EvMarkerOff {
+		t.Fatal("marker words carry the wrong kind")
 	}
 }

@@ -9,7 +9,10 @@
 // the code that indexes it, exactly as a layout-transforming compiler would.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a simulated virtual address.
 type Addr uint64
@@ -37,83 +40,156 @@ type Emitter interface {
 	Marker(on bool)
 }
 
-// Event kind codes for an EventBlock's Kind column. The values match the
-// low two bits of internal/trace's packed event words, so trace decoding
-// into a block is a mask, not a translation table.
+// Packed event words. One uint64 holds one event (a folded Compute run
+// counts as one event). The low byte is a tag: the kind in bits 0-1, and for
+// an access the write flag and log2(size) above it. The payload sits above
+// the tag:
+//
+//	Access:  bits 8..63 address               (addr <= MaxWordAddr)
+//	Compute: bits 8..31 n, bits 32..63 count  (n <= MaxWordN, count <= MaxWordCount)
+//	Marker:  tag only
+//
+// The tag byte is also internal/trace's wire tag, so the varint codec and
+// the packed form share one encoding of kinds, sizes and the write flag.
 const (
 	EvCompute   uint8 = 0
 	EvMarkerOn  uint8 = 1
 	EvMarkerOff uint8 = 2
 	EvAccess    uint8 = 3
+
+	// tagWrite is an access tag's write flag; tagSizeMask holds log2 of
+	// its size (1, 2, 4 or 8 bytes) at tagSizeShift.
+	tagWrite     = 0x04
+	tagSizeMask  = 0x18
+	tagSizeShift = 3
+
+	// MaxWordAddr, MaxWordN and MaxWordCount are the largest values a
+	// word holds.
+	MaxWordAddr  = 1<<56 - 1
+	MaxWordN     = 1<<24 - 1
+	MaxWordCount = 1<<32 - 1
+
+	wordPayloadShift = 8
+	wordCountShift   = 32
 )
 
-// EventBlock is a fixed-capacity struct-of-arrays batch of simulated
-// events. Column i describes event i; only the columns meaningful for
-// Kind[i] hold defined values (Addr/Size/Write for EvAccess, N/Count for
-// EvCompute — producers may write the other columns too, but their contents
-// are unspecified).
+// AccessTag returns the tag byte of Access(_, size, write). size must be 1,
+// 2, 4 or 8.
+func AccessTag(size uint8, write bool) uint8 {
+	tag := uint8(bits.TrailingZeros8(size))<<tagSizeShift | EvAccess
+	if write {
+		tag |= tagWrite
+	}
+	return tag
+}
+
+// AccessWord packs an access to addr with tag byte tag (see AccessTag).
+// addr must not exceed MaxWordAddr.
+func AccessWord(addr Addr, tag uint8) uint64 {
+	return uint64(addr)<<wordPayloadShift | uint64(tag)
+}
+
+// ComputeWord packs a run of count Compute(n) calls. n must not exceed
+// MaxWordN nor count MaxWordCount.
+func ComputeWord(n, count uint64) uint64 {
+	return n<<wordPayloadShift | count<<wordCountShift | uint64(EvCompute)
+}
+
+// MarkerWord packs Marker(on).
+func MarkerWord(on bool) uint64 {
+	if on {
+		return uint64(EvMarkerOn)
+	}
+	return uint64(EvMarkerOff)
+}
+
+// WordKind returns a word's Ev* kind.
+func WordKind(w uint64) uint8 { return uint8(w) & 0x03 }
+
+// WordAddr returns an access word's address.
+func WordAddr(w uint64) Addr { return Addr(w >> wordPayloadShift) }
+
+// WordSize returns an access word's size in bytes.
+func WordSize(w uint64) uint8 { return 1 << ((uint8(w) & tagSizeMask) >> tagSizeShift) }
+
+// WordWrite reports whether an access word is a store.
+func WordWrite(w uint64) bool { return w&tagWrite != 0 }
+
+// WordCompute returns a compute word's instructions per call and run
+// length.
+func WordCompute(w uint64) (n int, count uint64) {
+	return int(w >> wordPayloadShift & MaxWordN), w >> wordCountShift
+}
+
+// EventBlock is a batch of at most Cap() packed event words (see the
+// layout above EvCompute). A producer either fills Buf() and calls SetLen,
+// or points the block at words it already holds with SetWindow —
+// internal/trace hands out windows of a recorded stream's own words that
+// way, with no copy.
 //
-// Blocks are plain reusable buffers: one per replay (or per sweep worker,
-// via parallel.Arena) is enough, and reusing one across replays is the
-// point — the batched engine never materializes a whole stream in SoA form.
+// Words() may alias storage shared with other goroutines (trace caches
+// share one packed stream across sweep workers and selcached requests), so
+// no consumer may write to it.
 type EventBlock struct {
-	// Kind holds the event kind codes (Ev*).
-	Kind []uint8
-	// Addr, Size, Write are the access columns.
-	Addr  []Addr
-	Size  []uint8
-	Write []bool
-	// N and Count are the compute-run columns: Count[i] calls of
-	// Compute(N[i]). A folded run occupies one block slot regardless of
-	// its length.
-	N     []int32
-	Count []uint32
-
-	n int
+	words []uint64 // the valid events
+	buf   []uint64 // the block's own storage, allocated by the first Buf
+	cap   int
 }
 
-// NewEventBlock returns a block with capacity for events decoded events per
-// fill. Capacities below 1 fall back to 1.
+// NewEventBlock returns a block with capacity for events words per fill.
+// Capacities below 1 fall back to 1.
 func NewEventBlock(events int) *EventBlock {
-	if events < 1 {
-		events = 1
-	}
-	return &EventBlock{
-		Kind:  make([]uint8, events),
-		Addr:  make([]Addr, events),
-		Size:  make([]uint8, events),
-		Write: make([]bool, events),
-		N:     make([]int32, events),
-		Count: make([]uint32, events),
-	}
+	return &EventBlock{cap: max(events, 1)}
 }
 
-// Len reports how many events the last fill decoded into the block.
-func (b *EventBlock) Len() int { return b.n }
+// Len reports how many events the block holds.
+func (b *EventBlock) Len() int { return len(b.words) }
 
 // Cap reports the block's event capacity.
-func (b *EventBlock) Cap() int { return len(b.Kind) }
+func (b *EventBlock) Cap() int { return b.cap }
 
-// SetLen declares the first n column slots valid. Producers call it after
-// filling the columns; n must not exceed Cap.
-func (b *EventBlock) SetLen(n int) {
-	if n < 0 || n > b.Cap() {
-		panic(fmt.Sprintf("mem: SetLen(%d) outside block capacity %d", n, b.Cap()))
+// Words returns the block's events. The slice is read-only.
+func (b *EventBlock) Words() []uint64 { return b.words }
+
+// Buf returns the block's own Cap()-word storage for a producer to fill
+// before SetLen.
+func (b *EventBlock) Buf() []uint64 {
+	if b.buf == nil {
+		b.buf = make([]uint64, b.cap)
 	}
-	b.n = n
+	return b.buf
+}
+
+// SetLen declares the first n words of Buf() the block's events; n must not
+// exceed Cap.
+func (b *EventBlock) SetLen(n int) {
+	if n < 0 || n > b.cap {
+		panic(fmt.Sprintf("mem: SetLen(%d) outside block capacity %d", n, b.cap))
+	}
+	b.words = b.Buf()[:n:n]
+}
+
+// SetWindow makes words the block's events without copying them; len(words)
+// must not exceed Cap. The block only reads them.
+func (b *EventBlock) SetWindow(words []uint64) {
+	if len(words) > b.cap {
+		panic(fmt.Sprintf("mem: SetWindow of %d words outside block capacity %d", len(words), b.cap))
+	}
+	b.words = words[:len(words):len(words)]
 }
 
 // Emit replays the block's events against a scalar emitter, in order. It is
-// the reference consumer BatchEmitter implementations are validated
-// against.
+// the one scalar decoder of packed words, and the reference consumer
+// BatchEmitter implementations are validated against.
 func (b *EventBlock) Emit(em Emitter) {
-	for i := 0; i < b.n; i++ {
-		switch b.Kind[i] {
+	for _, w := range b.words {
+		switch WordKind(w) {
 		case EvAccess:
-			em.Access(b.Addr[i], b.Size[i], b.Write[i])
+			em.Access(WordAddr(w), WordSize(w), WordWrite(w))
 		case EvCompute:
-			for c := uint32(0); c < b.Count[i]; c++ {
-				em.Compute(int(b.N[i]))
+			n, count := WordCompute(w)
+			for c := uint64(0); c < count; c++ {
+				em.Compute(n)
 			}
 		case EvMarkerOn:
 			em.Marker(true)
@@ -123,23 +199,23 @@ func (b *EventBlock) Emit(em Emitter) {
 	}
 }
 
-// BatchEmitter is an Emitter that additionally accepts whole columnar
-// event blocks. EmitBlock(b) is semantically identical to b.Emit(em) — the
+// BatchEmitter is an Emitter that additionally accepts whole blocks of
+// packed events. EmitBlock(b) is semantically identical to b.Emit(em) — the
 // same events in the same order — and implementations must produce
 // bit-identical state and statistics either way (float accumulation order
 // included).
 //
 // The block form exists purely for speed: a consumer that implements
 // BatchEmitter receives one call per block instead of one dynamic dispatch
-// per event, and can split the pure per-event math (set indices, tags, page
-// numbers) into tight columnar loops ahead of its stateful walk.
-// trace.Trace.Replay detects the interface and routes replays through it.
+// per event, and decodes the words inline. trace.Trace.Replay detects the
+// interface and routes replays through it.
 type BatchEmitter interface {
 	Emitter
 
-	// EmitBlock consumes the block's events in order. The block and its
-	// columns are owned by the caller; implementations must not retain
-	// them past the call.
+	// EmitBlock consumes the block's events in order. The block is owned
+	// by the caller and its words may be shared with other readers:
+	// implementations must neither write them nor retain them past the
+	// call.
 	EmitBlock(b *EventBlock)
 }
 

@@ -113,13 +113,8 @@ type Machine struct {
 	l1Transfer float64
 	l2Transfer float64
 
-	// Batched-path state (see batch.go). The shift amounts mirror the
-	// components' own (l1/l2 block, TLB page, MAT macro-block); colBlock
-	// and colPage are the pure phase's scratch columns, allocated on first
-	// AccessBatch so scalar-only machines (the oracle, live interpretation)
-	// never pay for them.
+	// The L1 block and TLB page shifts, mirroring the components' own.
 	l1Shift, pageShift uint
-	colBlock, colPage  []uint64
 }
 
 // NewMachine builds a machine for one run.
@@ -139,7 +134,7 @@ func (m *Machine) Reset(cfg Config, opt Options) {
 	opt = opt.withDefaults()
 	l1, l2 := reuseCache(m.l1, cfg.L1), reuseCache(m.l2, cfg.L2)
 	dtlb := reuseTLB(m.dtlb, cfg.TLB)
-	matStore, colBlock, colPage := m.matStore, m.colBlock, m.colPage
+	matStore := m.matStore
 	outstanding := m.outstanding[:0]
 	if cap(outstanding) != cfg.MLP {
 		outstanding = make([]float64, 0, cfg.MLP)
@@ -155,8 +150,6 @@ func (m *Machine) Reset(cfg Config, opt Options) {
 		outstanding: outstanding,
 		invIssue:    1 / float64(cfg.IssueWidth),
 		invPorts:    1 / float64(cfg.MemPorts),
-		colBlock:    colBlock,
-		colPage:     colPage,
 	}
 	m.l1Transfer = float64(cfg.L1.Block / cfg.BusBytes)
 	m.l2Transfer = float64(cfg.L2.Block / cfg.BusBytes)
@@ -282,11 +275,9 @@ func (m *Machine) Access(addr mem.Addr, size uint8, write bool) {
 	m.access1(addr, write, uint64(addr)>>m.l1Shift, uint64(addr)>>m.pageShift)
 }
 
-// access1 is the stateful body of Access with the pure per-event math — the
-// L1 block and TLB page numbers — hoisted out. The scalar path computes
-// them inline above; the batched path (AccessBatch) precomputes whole
-// columns of them. Both paths run this exact code, so batched and scalar
-// replays agree bit for bit by construction.
+// access1 is the body of Access, given the L1 block and TLB page numbers.
+// Access and EmitBlock both derive them inline and run this exact code, so
+// batched and scalar replays agree bit for bit by construction.
 func (m *Machine) access1(addr mem.Addr, write bool, block, page uint64) {
 	m.instructions++
 	m.memOps++

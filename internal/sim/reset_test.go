@@ -16,6 +16,7 @@ import (
 // and marker toggles for the selective version.
 func resetStream(events int) *mem.EventBlock {
 	b := mem.NewEventBlock(events)
+	words := b.Buf()
 	x := uint64(12345)
 	stream := mem.Addr(0x400000)
 	for i := 0; i < events; i++ {
@@ -23,11 +24,11 @@ func resetStream(events int) *mem.EventBlock {
 		r := x >> 33
 		switch {
 		case i%2000 == 1000:
-			b.Kind[i] = mem.EvMarkerOn
+			words[i] = mem.MarkerWord(true)
 		case i%2000 == 1999:
-			b.Kind[i] = mem.EvMarkerOff
+			words[i] = mem.MarkerWord(false)
 		case r%7 == 0:
-			b.Kind[i], b.N[i], b.Count[i] = mem.EvCompute, int32(1+r%5), uint32(1+r%3)
+			words[i] = mem.ComputeWord(1+r%5, 1+r%3)
 		default:
 			var a mem.Addr
 			switch r % 4 {
@@ -39,7 +40,7 @@ func resetStream(events int) *mem.EventBlock {
 			default: // one L1 set, many tags
 				a = mem.Addr(0x800000 + ((r>>3)%24)*(8<<10))
 			}
-			b.Kind[i], b.Addr[i], b.Size[i], b.Write[i] = mem.EvAccess, a&^7, 8, r%4 == 1
+			words[i] = mem.AccessWord(a&^7, mem.AccessTag(8, r%4 == 1))
 		}
 	}
 	b.SetLen(events)
@@ -130,8 +131,7 @@ func TestResetMatchesNewMachine(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/%s/memo=%v/v%d", cfg.Name, mech, pol, memo, vi)
 						fresh := NewMachine(cfg, vo)
 						reused.Reset(cfg, vo)
-						// Alternate the scalar and batched entry points so
-						// the reused batch scratch columns are covered too.
+						// Alternate the scalar and batched entry points.
 						if run%2 == 0 {
 							b.Emit(fresh)
 							b.Emit(reused)

@@ -104,7 +104,7 @@ func (t *TLB) Translate(a mem.Addr) bool {
 }
 
 // TranslatePage is Translate with the page number (addr >> PageShift)
-// already computed by the batched engine's pure phase. It is TranslateFast
+// already computed by the caller. It is TranslateFast
 // composed with TranslateSlow; hot probe sites write the pair out so the
 // fast half inlines (the composition itself exceeds the inliner's
 // budget).

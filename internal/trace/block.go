@@ -2,27 +2,23 @@ package trace
 
 import "selcache/internal/mem"
 
-// This file implements the columnar (struct-of-arrays) batch layer over the
-// packed replay form. A BlockCursor slices the packed []uint64 stream into
-// fixed-size mem.EventBlocks whose per-event fields live in parallel
-// columns; the decode loop writes every column unconditionally from
-// bit-field math, so it compiles to straight-line code with no per-event
-// branching on kind. ReplayBatched then hands each block to the consumer's
-// EmitBlock — one dynamic dispatch per 4096 events instead of one per
-// event.
+// This file is the batch layer over the packed replay form. A BlockCursor
+// hands out consecutive windows of a trace's packed words as
+// mem.EventBlocks: no decode and no copy, one slice header per block.
+// ReplayBatched hands each window to the consumer's EmitBlock — one dynamic
+// dispatch per 4096 events instead of one per event.
 
 // DefaultBlockEvents is the block capacity Replay uses when the caller does
-// not supply a Block. 4096 events keeps a block's columns (~80 KB) inside
-// the L2 of any host worth benchmarking on while amortizing the per-block
-// bookkeeping to nothing.
+// not supply a Block. At 4096 events the per-block bookkeeping amortizes to
+// nothing, and a window (32 KB of words) stays inside the L2 of any host
+// worth benchmarking on.
 const DefaultBlockEvents = 4096
 
-// Block is the SoA event batch the cursor decodes into (see
-// mem.EventBlock).
+// Block is the batch a cursor fills (see mem.EventBlock).
 type Block = mem.EventBlock
 
-// NewBlock returns a Block with capacity for events decoded events per
-// fill. Capacities below 1 fall back to DefaultBlockEvents.
+// NewBlock returns a Block with capacity for events words per fill.
+// Capacities below 1 fall back to DefaultBlockEvents.
 func NewBlock(events int) *Block {
 	if events < 1 {
 		events = DefaultBlockEvents
@@ -30,79 +26,40 @@ func NewBlock(events int) *Block {
 	return mem.NewEventBlock(events)
 }
 
-// The decoded kind codes are the wire tag's low two bits; mem's exported
-// codes must agree so the decode is a mask. Compile-time assertion.
-const (
-	_ = uint8(kindCompute) - mem.EvCompute
-	_ = mem.EvCompute - uint8(kindCompute)
-	_ = uint8(kindMarkerOn) - mem.EvMarkerOn
-	_ = mem.EvMarkerOn - uint8(kindMarkerOn)
-	_ = uint8(kindMarkerOff) - mem.EvMarkerOff
-	_ = mem.EvMarkerOff - uint8(kindMarkerOff)
-	_ = uint8(kindAccess) - mem.EvAccess
-	_ = mem.EvAccess - uint8(kindAccess)
-)
-
-// BlockCursor decodes a packed stream into Blocks. Obtain one with
-// Trace.BlockCursor; the zero value is an empty stream.
+// BlockCursor walks a trace's packed words in block-sized windows. Obtain
+// one with Trace.BlockCursor; the zero value is an empty stream.
 type BlockCursor struct {
 	words []uint64
 }
 
-// BlockCursor returns a cursor over the trace's packed words, or ok=false
-// when the stream does not fit the packed representation (adversarial
-// inputs only; recorded runs always pack) and the caller must fall back to
-// scalar replay.
+// BlockCursor returns a cursor over the trace's packed words. Every
+// validated stream packs, so ok is always true; it stays in the signature
+// for callers written when some streams did not.
 func (t *Trace) BlockCursor() (c *BlockCursor, ok bool) {
-	if !t.ensurePacked() {
-		return nil, false
-	}
+	t.ensurePacked()
 	return &BlockCursor{words: t.packed}, true
 }
 
-// Next fills b with the next batch of events and reports whether it decoded
-// any. The decode is branch-free on event kind: every column is written for
-// every event from fixed bit fields of the packed word.
+// Next points b at the next window of at most b.Cap() words and reports
+// whether there was one. The window aliases the trace's packed words,
+// which are shared by every replay of the stream: b's consumer must not
+// write them.
 func (c *BlockCursor) Next(b *Block) bool {
-	words := c.words
-	n := b.Cap()
-	if n > len(words) {
-		n = len(words)
-	}
-	b.SetLen(n)
-	if n == 0 {
-		return false
-	}
-	c.words = words[n:]
-	kind, addr := b.Kind[:n], b.Addr[:n]
-	size, write := b.Size[:n], b.Write[:n]
-	cn, cc := b.N[:n], b.Count[:n]
-	for i, w := range words[:n:n] {
-		tag := byte(w)
-		kind[i] = tag & 0x03
-		addr[i] = mem.Addr(w >> packAddrShift)
-		size[i] = 1 << ((tag & accSizeMask) >> accSizeShift)
-		write[i] = tag&accWriteBit != 0
-		cn[i] = int32(w >> packNShift & maxPackN)
-		cc[i] = uint32(w >> packCountShift)
-	}
-	return true
+	n := min(b.Cap(), len(c.words))
+	b.SetWindow(c.words[:n])
+	c.words = c.words[n:]
+	return n > 0
 }
 
-// ReplayBatched drives be through the columnar engine, reusing blk (one is
-// allocated when nil). It reports false — having emitted nothing — when the
-// stream does not pack; the caller falls back to scalar replay. Event order
-// and per-call arguments are identical to Replay's scalar path.
-func (t *Trace) ReplayBatched(be mem.BatchEmitter, blk *Block) bool {
-	cur, ok := t.BlockCursor()
-	if !ok {
-		return false
-	}
+// ReplayBatched drives be through the block engine, reusing blk (one is
+// allocated when nil). Event order and per-call arguments are identical to
+// ReplayScalar's.
+func (t *Trace) ReplayBatched(be mem.BatchEmitter, blk *Block) {
 	if blk == nil {
 		blk = NewBlock(DefaultBlockEvents)
 	}
+	cur, _ := t.BlockCursor()
 	for cur.Next(blk) {
 		be.EmitBlock(blk)
 	}
-	return true
 }

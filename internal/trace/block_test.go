@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"selcache/internal/mem"
@@ -54,9 +58,7 @@ func TestReplayBatchedMatchesScalar(t *testing.T) {
 	tr.ReplayScalar(&want)
 
 	var got batchLog
-	if !tr.ReplayBatched(&got, nil) {
-		t.Fatal("packable stream refused batched replay")
-	}
+	tr.ReplayBatched(&got, nil)
 	if got.blocks == 0 {
 		t.Fatal("batched replay emitted no blocks")
 	}
@@ -95,36 +97,119 @@ func TestReplayRoutesBatchEmitters(t *testing.T) {
 	}
 }
 
-// unpackableTrace builds a decoded trace whose access address exceeds the
-// packed form's 56-bit limit, so every batched entry point must fall back.
-func unpackableTrace(t *testing.T) *Trace {
-	t.Helper()
-	r := NewRecorder()
-	r.Access(1<<60, 8, false)
-	r.Compute(2)
-	tr := r.Trace()
-	if tr.ensurePacked() {
-		t.Fatal("trace with 60-bit address packed; want fallback")
+// TestBlockCursorWindowsAlias checks that the cursor hands out windows of
+// the trace's own packed words, in order and without a copy, each capped
+// at its length so no consumer can append into the next window.
+func TestBlockCursorWindowsAlias(t *testing.T) {
+	tr := recordSample(t)
+	cur, ok := tr.BlockCursor()
+	if !ok {
+		t.Fatal("BlockCursor reported a stream that does not pack")
 	}
-	return tr
+	blk := NewBlock(4)
+	off := 0
+	for cur.Next(blk) {
+		w := blk.Words()
+		if &w[0] != &tr.packed[off] {
+			t.Fatalf("window at word %d does not alias the packed stream", off)
+		}
+		if cap(w) != len(w) {
+			t.Fatalf("window at word %d has capacity %d past its length %d", off, cap(w), len(w))
+		}
+		off += len(w)
+	}
+	if off != len(tr.packed) || blk.Len() != 0 {
+		t.Fatalf("windows covered %d of %d words, final block length %d", off, len(tr.packed), blk.Len())
+	}
 }
 
-func TestBatchedFallbackForUnpackableStream(t *testing.T) {
-	tr := unpackableTrace(t)
-	if _, ok := tr.BlockCursor(); ok {
-		t.Fatal("BlockCursor succeeded on unpackable stream")
+func TestRecorderRejectsUnpackableValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(r *Recorder)
+		want string
+	}{
+		{"address 2^56", func(r *Recorder) { r.Access(1<<56, 8, false) }, "does not fit 56 bits"},
+		{"address 2^63", func(r *Recorder) { r.Access(1<<63, 1, true) }, "does not fit 56 bits"},
+		{"compute 2^24", func(r *Recorder) { r.Compute(1 << 24) }, "does not fit 24 bits"},
+	} {
+		if msg := recordPanic(tc.call); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: recorder panic %q, want one mentioning %q", tc.name, msg, tc.want)
+		}
 	}
-	var b batchLog
-	if tr.ReplayBatched(&b, nil) {
-		t.Fatal("ReplayBatched accepted unpackable stream")
+	// The largest packable values record and replay exactly.
+	r := NewRecorder()
+	r.Access(mem.MaxWordAddr, 8, true)
+	r.Compute(mem.MaxWordN)
+	var got callLog
+	got.replayOf(r.Trace())
+	want := []call{
+		{kind: KindAccess, addr: mem.MaxWordAddr, size: 8, write: true},
+		{kind: KindCompute, n: mem.MaxWordN},
 	}
-	if len(b.calls) != 0 {
-		t.Fatalf("failed batched replay still emitted %d calls", len(b.calls))
+	if len(got.calls) != 2 || got.calls[0] != want[0] || got.calls[1] != want[1] {
+		t.Fatalf("largest packable values replayed as %+v, want %+v", got.calls, want)
 	}
-	// Replay on a BatchEmitter must silently fall back to scalar calls.
-	tr.Replay(&b)
-	if len(b.calls) != 2 || b.blocks != 0 {
-		t.Fatalf("fallback replay: %d calls, %d blocks; want 2 scalar calls, 0 blocks", len(b.calls), b.blocks)
+}
+
+// recordPanic runs call on a fresh recorder and returns its panic message,
+// or "" when it did not panic.
+func recordPanic(call func(r *Recorder)) (msg string) {
+	defer func() {
+		if v := recover(); v != nil {
+			msg = fmt.Sprint(v)
+		}
+	}()
+	call(NewRecorder())
+	return ""
+}
+
+func TestDecodeRejectsUnpackableStream(t *testing.T) {
+	// A long jump up from 2^56-1 and a wrap below zero both leave the
+	// packable range.
+	high := handEncode([]call{{kind: KindAccess, addr: mem.MaxWordAddr, size: 8}, {kind: KindAccess, addr: 1 << 56, size: 8}})
+	wrap := handEncode([]call{{kind: KindAccess, addr: 8, size: 8}, {kind: KindAccess, addr: ^mem.Addr(0), size: 1}})
+	bigN := handEncode([]call{{kind: KindCompute, n: 1 << 24}})
+	for name, data := range map[string][]byte{"address 2^56": high, "wrapped address": wrap, "compute 2^24": bigN} {
+		_, err := Decode(data)
+		if err == nil || !strings.Contains(err.Error(), "corrupt stream") || !strings.Contains(err.Error(), "does not fit") {
+			t.Errorf("%s: Decode returned %v, want a corrupt-stream error naming the limit", name, err)
+		}
+	}
+	// One below each limit decodes.
+	ok := handEncode([]call{{kind: KindAccess, addr: mem.MaxWordAddr, size: 8}, {kind: KindCompute, n: mem.MaxWordN}})
+	if _, err := Decode(ok); err != nil {
+		t.Fatalf("largest packable values rejected: %v", err)
+	}
+}
+
+// TestPackSplitsLongComputeRuns decodes a compute run longer than one word
+// holds: pack splits it into runs of the same size, and the stream keeps
+// its original bytes because the split would not re-encode them.
+func TestPackSplitsLongComputeRuns(t *testing.T) {
+	const count = mem.MaxWordCount + 5
+	payload := binary.AppendUvarint([]byte{mem.EvCompute, 3}, count)
+	payload = append(payload, mem.EvMarkerOn)
+	data := encodeRaw(Meta{Events: count + 1, ComputeInstr: 3 * count, ComputeCalls: count, Markers: 1, OnMarkers: 1}, payload)
+	tr, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := tr.BlockCursor()
+	blk := NewBlock(DefaultBlockEvents)
+	var words []uint64
+	for cur.Next(blk) {
+		words = append(words, blk.Words()...)
+	}
+	want := []uint64{mem.ComputeWord(3, mem.MaxWordCount), mem.ComputeWord(3, 5), mem.MarkerWord(true)}
+	if fmt.Sprint(words) != fmt.Sprint(want) {
+		t.Fatalf("packed words %#x, want %#x", words, want)
+	}
+	if tr.payload == nil {
+		t.Fatal("stream with a split run released its wire payload")
+	}
+	if !bytes.Equal(tr.Encode(), data) {
+		t.Fatal("re-encoding a stream with a split run changed its bytes")
 	}
 }
 
@@ -174,29 +259,6 @@ func TestPayloadReleasedAfterPack(t *testing.T) {
 	}
 }
 
-func TestUnpackableStreamKeepsPayload(t *testing.T) {
-	tr := unpackableTrace(t)
-	if tr.payload == nil {
-		t.Fatal("unpackable stream lost its wire payload")
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got callLog
-	back.Replay(&got)
-	if len(got.calls) != 2 {
-		t.Fatalf("unpackable round trip replayed %d calls, want 2", len(got.calls))
-	}
-	if got.calls[0].addr != 1<<60 {
-		t.Fatalf("replayed addr %#x, want %#x", got.calls[0].addr, uint64(1)<<60)
-	}
-}
-
 func TestCursorAfterPayloadRelease(t *testing.T) {
 	tr := recordSample(t)
 	var sink callLog
@@ -215,4 +277,53 @@ func TestCursorAfterPayloadRelease(t *testing.T) {
 	if n != len(want.calls) {
 		t.Fatalf("cursor iterated %d events after release, want %d", n, len(want.calls))
 	}
+}
+
+// TestConcurrentReplaysShareWords replays one trace from several
+// goroutines at once — batched, scalar, by cursor and by encoding — the
+// way sweep workers and selcached share a cached stream. Run under -race:
+// the first use packs the stream inside a sync.Once and every reader after
+// it only reads the shared words.
+func TestConcurrentReplaysShareWords(t *testing.T) {
+	tr := recordSample(t)
+	var want callLog
+	emit(&want)
+	wantEnc := recordSample(t).Encode()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got callLog
+			switch g % 4 {
+			case 0:
+				var b batchLog
+				tr.ReplayBatched(&b, NewBlock(g+1))
+				got = b.callLog
+			case 1:
+				tr.ReplayScalar(&got)
+			case 2:
+				for c := tr.Cursor(); ; {
+					ev, ok := c.Next()
+					if !ok {
+						break
+					}
+					got.calls = append(got.calls, call{kind: ev.Kind})
+				}
+				if len(got.calls) != len(want.calls) {
+					t.Errorf("cursor walked %d events, want %d", len(got.calls), len(want.calls))
+				}
+				return
+			case 3:
+				if !bytes.Equal(tr.Encode(), wantEnc) {
+					t.Error("concurrent Encode changed the bytes")
+				}
+				return
+			}
+			if fmt.Sprint(got.calls) != fmt.Sprint(want.calls) {
+				t.Errorf("goroutine %d replayed %v, want %v", g, got.calls, want.calls)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

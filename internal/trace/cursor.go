@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"selcache/internal/mem"
@@ -65,17 +64,18 @@ func (e Event) String() string {
 // Cursor iterates a trace's events one emitter call at a time. Obtain one
 // with Trace.Cursor; the zero value is empty.
 type Cursor struct {
-	payload []byte
-	prev    mem.Addr
+	words []uint64
 
 	// Remaining repeat count of the current compute run.
 	runN    int
 	runLeft uint64
 }
 
-// Cursor returns an iterator positioned before the first event.
+// Cursor returns an iterator positioned before the first event. It walks
+// the packed words, so it never re-encodes the payload.
 func (t *Trace) Cursor() *Cursor {
-	return &Cursor{payload: t.wire()}
+	t.ensurePacked()
+	return &Cursor{words: t.packed}
 }
 
 // Next returns the next emitter call. ok is false at the end of the
@@ -86,32 +86,20 @@ func (c *Cursor) Next() (ev Event, ok bool) {
 		c.runLeft--
 		return Event{Kind: KindCompute, N: c.runN}, true
 	}
-	if len(c.payload) == 0 {
+	if len(c.words) == 0 {
 		return Event{Kind: KindEnd}, false
 	}
-	tag := c.payload[0]
-	c.payload = c.payload[1:]
-	switch tag & 0x03 {
-	case kindAccess:
-		delta, n := binary.Varint(c.payload)
-		c.payload = c.payload[n:]
-		c.prev = mem.Addr(int64(c.prev) + delta)
-		return Event{
-			Kind:  KindAccess,
-			Addr:  c.prev,
-			Size:  1 << ((tag & accSizeMask) >> accSizeShift),
-			Write: tag&accWriteBit != 0,
-		}, true
-	case kindCompute:
-		cn, n := binary.Uvarint(c.payload)
-		c.payload = c.payload[n:]
-		count, n := binary.Uvarint(c.payload)
-		c.payload = c.payload[n:]
-		c.runN = int(cn)
-		c.runLeft = count - 1
-		return Event{Kind: KindCompute, N: c.runN}, true
-	default: // kindMarkerOn, kindMarkerOff
-		return Event{Kind: KindMarker, On: tag&0x03 == kindMarkerOn}, true
+	w := c.words[0]
+	c.words = c.words[1:]
+	switch mem.WordKind(w) {
+	case mem.EvAccess:
+		return Event{Kind: KindAccess, Addr: mem.WordAddr(w), Size: mem.WordSize(w), Write: mem.WordWrite(w)}, true
+	case mem.EvCompute:
+		n, count := mem.WordCompute(w)
+		c.runN, c.runLeft = n, count-1
+		return Event{Kind: KindCompute, N: n}, true
+	default: // mem.EvMarkerOn, mem.EvMarkerOff
+		return Event{Kind: KindMarker, On: mem.WordKind(w) == mem.EvMarkerOn}, true
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"selcache/internal/mem"
@@ -13,7 +14,10 @@ import (
 //     or truncated bytes with an error — never a panic — and anything it
 //     accepts must re-encode stably.
 //   - Treating the input as an event script, a recorded stream must decode
-//     and replay call-for-call losslessly.
+//     and replay call-for-call losslessly. A script that reaches an address
+//     the packed form cannot hold (at or above 2^56) must instead make the
+//     Recorder panic by name, and Decode must reject the same calls
+//     hand-encoded.
 //
 // Run continuously with `go test ./internal/trace -fuzz FuzzTraceRoundTrip`.
 func FuzzTraceRoundTrip(f *testing.F) {
@@ -24,6 +28,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add(append([]byte(magic), 0xFF, 0xFF, 0xFF))
 	f.Add([]byte{0x73, 0x63, 0x74, 0x72, 0x61, 0x63, 0x65, 0x02, 0})
+	f.Add([]byte{0x03 | 0x38<<2, 1}) // script: one access at 2^56
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := Decode(data); err == nil {
 			enc := tr.Encode()
@@ -38,6 +43,18 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 		var want callLog
 		runScript(data, &want)
+		for _, c := range want.calls {
+			if c.kind == KindAccess && c.addr > mem.MaxWordAddr {
+				msg := recordPanic(func(r *Recorder) { runScript(data, r) })
+				if !strings.Contains(msg, "does not fit 56 bits") {
+					t.Fatalf("recording address %#x: panic %q, want the 56-bit limit named", uint64(c.addr), msg)
+				}
+				if _, err := Decode(handEncode(want.calls)); err == nil || !strings.Contains(err.Error(), "does not fit 56 bits") {
+					t.Fatalf("Decode of hand-encoded address %#x returned %v, want the 56-bit limit named", uint64(c.addr), err)
+				}
+				return
+			}
+		}
 		rec := NewRecorder()
 		runScript(data, rec)
 		dec, err := Decode(rec.Trace().Encode())
@@ -62,8 +79,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 // runScript interprets data as an event script: two bytes per call, mixing
 // forward/backward deltas, long jumps, every access size, compute runs and
-// markers. Only emitter calls the Recorder accepts are generated (sizes in
-// {1,2,4,8}, Compute n > 0).
+// markers. Sizes are always in {1,2,4,8} and Compute n in [1, 256]; long
+// jumps (up to 2^63) and wraps below zero reach addresses the Recorder
+// refuses.
 func runScript(data []byte, em mem.Emitter) {
 	var addr mem.Addr
 	for i := 0; i+1 < len(data); i += 2 {

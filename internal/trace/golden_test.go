@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"selcache/internal/core"
+	"selcache/internal/sim"
 	"selcache/internal/trace"
 	"selcache/internal/workloads"
 )
@@ -86,6 +87,42 @@ func TestGoldenReplayEquivalence(t *testing.T) {
 					t.Fatalf("replayed stats differ from live run:\nlive   %+v\nreplay %+v", ls, rs)
 				}
 			})
+		}
+	}
+}
+
+// TestReplayLeavesWordsUnchanged replays every golden through EmitBlock on
+// each mechanism and checks the stream still encodes to its file's bytes:
+// blocks alias the trace's shared packed words, and no consumer may write
+// through them.
+func TestReplayLeavesWordsUnchanged(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "tiny-*.sctrace"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden traces found (err %v)", err)
+	}
+	blk := trace.NewBlock(trace.DefaultBlockEvents)
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []sim.Options{
+			{},
+			{Mechanism: sim.HWBypass, HonorMarkers: true},
+			{Mechanism: sim.HWVictim, InitiallyOn: true, Policy: sim.PolicyEHC, WayMemo: true, Energy: true},
+		} {
+			m := sim.NewMachine(sim.Base(), o)
+			tr.ReplayBatched(m, blk)
+			if m.Finish().MemOps != tr.Meta.Accesses {
+				t.Fatalf("%s: replay reached %d accesses of %d", path, m.Finish().MemOps, tr.Meta.Accesses)
+			}
+		}
+		if !bytes.Equal(tr.Encode(), data) {
+			t.Fatalf("%s: encoding changed after replay through EmitBlock", path)
 		}
 	}
 }

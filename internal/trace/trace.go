@@ -37,19 +37,22 @@
 //
 //	event: a tag byte followed by operands.
 //	  tag & 0x03 (kind):
-//	    0  Compute: operands uvarint n (instructions per call, > 0),
-//	       uvarint count (run length, > 0). Replays as count calls of
-//	       Compute(n). Upper tag bits must be zero.
+//	    0  Compute: operands uvarint n (instructions per call,
+//	       0 < n < 2^24), uvarint count (run length, > 0). Replays as
+//	       count calls of Compute(n). Upper tag bits must be zero.
 //	    1  Marker(on=true). No operands; upper tag bits must be zero.
 //	    2  Marker(on=false). No operands; upper tag bits must be zero.
 //	    3  Access: tag bit 0x04 is the write flag, bits 0x18 hold
 //	       log2(size) (sizes 1, 2, 4, 8), bits 0xE0 must be zero.
 //	       Operand: zigzag varint delta = addr - prevAddr (wrapping
-//	       int64 arithmetic); prevAddr updates to addr afterwards.
+//	       int64 arithmetic); prevAddr updates to addr, which must be
+//	       below 2^56.
 //
-// Decode validates the whole payload against the header counters, so a
-// *Trace held in memory is always well-formed: Replay and Cursor operate on
-// validated data and do not return errors. Truncated or corrupt inputs are
+// The bounds on n and addresses are those of the in-memory packed form
+// (mem.MaxWordAddr, mem.MaxWordN), so every stream Decode accepts packs. Decode validates
+// the whole payload against the header counters, so a *Trace held in
+// memory is always well-formed: Replay and Cursor operate on validated data
+// and do not return errors. Truncated or corrupt inputs are
 // rejected by Decode/ReadFrom with a descriptive error, never a panic
 // (FuzzTraceRoundTrip enforces this).
 package trace
@@ -71,21 +74,11 @@ import (
 // magic identifies a .sctrace stream; the last byte is the format version.
 const magic = "sctrace\x01"
 
-// Event kind codes (low two bits of the tag byte).
-const (
-	kindCompute = iota
-	kindMarkerOn
-	kindMarkerOff
-	kindAccess
-)
-
-// Access tag field masks.
-const (
-	accWriteBit  = 0x04
-	accSizeMask  = 0x18
-	accSizeShift = 3
-	accReserved  = 0xE0
-)
+// A wire tag byte is the low byte of the event's packed word: the kind
+// (mem.Ev*) in bits 0-1, and for an access the write flag and log2(size)
+// (mem.AccessTag). An access tag must leave accReserved clear; other tags
+// carry the kind alone.
+const accReserved = 0xE0
 
 // Meta summarizes a trace without decoding its payload (the header
 // counters).
@@ -122,14 +115,14 @@ type Trace struct {
 	payload    []byte
 	payloadLen int
 
-	// Packed replay form, built lazily on first Replay. The experiment
-	// sweeps replay each cached stream once per machine configuration, so
-	// the varint decode is paid once here and every replay afterwards is a
-	// flat slice walk. Guarded by packOnce: traces are shared across sweep
-	// workers.
+	// Packed replay form (mem's event words), built lazily on first use.
+	// The experiment sweeps replay each cached stream once per machine
+	// configuration, so the varint decode is paid once here and every
+	// replay afterwards hands out windows of these words. Guarded by
+	// packOnce: traces are shared across sweep workers, and the words are
+	// never written after pack.
 	packOnce sync.Once
 	packed   []uint64
-	packOK   bool
 }
 
 // EncodedSize returns the total encoded size in bytes (header + payload).
@@ -167,28 +160,29 @@ func (r *Recorder) flushCompute() {
 	if r.pendingCount == 0 {
 		return
 	}
-	r.buf = append(r.buf, kindCompute)
+	r.buf = append(r.buf, mem.EvCompute)
 	r.buf = binary.AppendUvarint(r.buf, uint64(r.pendingN))
 	r.buf = binary.AppendUvarint(r.buf, r.pendingCount)
 	r.pendingCount = 0
 }
 
-// Access implements mem.Emitter.
+// Access implements mem.Emitter. It panics on a size other than 1, 2, 4 or
+// 8 and on an address above mem.MaxWordAddr: both are program bugs, and the
+// packed form could not replay them.
 func (r *Recorder) Access(addr mem.Addr, size uint8, write bool) {
+	if size == 0 || size&(size-1) != 0 || size > 8 {
+		panic(fmt.Sprintf("trace: access size %d is not a power of two <= 8", size))
+	}
+	if addr > mem.MaxWordAddr {
+		panic(fmt.Sprintf("trace: access address %#x does not fit 56 bits", uint64(addr)))
+	}
 	r.flushCompute()
-	tag := byte(kindAccess)
 	if write {
-		tag |= accWriteBit
 		r.meta.Writes++
 	} else {
 		r.meta.Reads++
 	}
-	sizeLog := uint8(bits.TrailingZeros8(size))
-	if size == 0 || size&(size-1) != 0 || sizeLog > 3 {
-		panic(fmt.Sprintf("trace: access size %d is not a power of two <= 8", size))
-	}
-	tag |= sizeLog << accSizeShift
-	r.buf = append(r.buf, tag)
+	r.buf = append(r.buf, mem.AccessTag(size, write))
 	delta := int64(addr) - int64(r.prevAddr) // wrapping on purpose
 	r.buf = binary.AppendVarint(r.buf, delta)
 	r.prevAddr = addr
@@ -198,9 +192,14 @@ func (r *Recorder) Access(addr mem.Addr, size uint8, write bool) {
 
 // Compute implements mem.Emitter. Calls with n <= 0 are dropped: they are
 // no-ops against every downstream emitter, and the format requires n > 0.
+// It panics on n above mem.MaxWordN, which the packed form could not
+// replay.
 func (r *Recorder) Compute(n int) {
 	if n <= 0 {
 		return
+	}
+	if n > mem.MaxWordN {
+		panic(fmt.Sprintf("trace: compute size %d does not fit 24 bits", n))
 	}
 	if r.pendingCount > 0 && r.pendingN == n {
 		r.pendingCount++
@@ -217,11 +216,9 @@ func (r *Recorder) Compute(n int) {
 // Marker implements mem.Emitter.
 func (r *Recorder) Marker(on bool) {
 	r.flushCompute()
+	r.buf = append(r.buf, byte(mem.MarkerWord(on)))
 	if on {
-		r.buf = append(r.buf, kindMarkerOn)
 		r.meta.OnMarkers++
-	} else {
-		r.buf = append(r.buf, kindMarkerOff)
 	}
 	r.meta.Markers++
 	r.meta.Events++
@@ -236,86 +233,68 @@ func (r *Recorder) Trace() *Trace {
 	return &Trace{Meta: r.meta, payload: payload, payloadLen: len(payload)}
 }
 
-// Packed replay form: one uint64 per encoded event, varints resolved and
-// access deltas turned into absolute addresses. The low byte carries the
-// wire tag bits unchanged (kind, write flag, size log); the payload sits
-// above it.
-//
-//	Access:  bits 8..63 absolute address        (requires addr < 2^56)
-//	Compute: bits 8..31 n, bits 32..63 count    (requires n < 2^24, count < 2^32)
-//	Marker:  tag only
-//
-// Streams whose values exceed those widths (possible for adversarial
-// inputs, not for recorded runs) fall back to walking the wire payload.
-const (
-	packAddrShift  = 8
-	maxPackAddr    = 1<<56 - 1
-	packNShift     = 8
-	maxPackN       = 1<<24 - 1
-	packCountShift = 32
-	maxPackCount   = 1<<32 - 1
-)
-
-// pack resolves the payload into the packed form, or reports false if some
-// value does not fit the word layout.
-func (t *Trace) pack() ([]uint64, bool) {
-	// Upper bound: run-length folding makes encoded Compute entries
-	// fewer than ComputeCalls, never more.
-	words := make([]uint64, 0, t.Meta.Accesses+t.Meta.Markers+t.Meta.ComputeCalls)
+// pack resolves the payload into mem's packed event words: one word per
+// encoded event, varints resolved and access deltas turned into absolute
+// addresses, the wire tag as the word's low byte. validate has bounded
+// every address and compute size, so only a compute run longer than
+// mem.MaxWordCount needs more than one word; it is split into several runs
+// of the same size, which replay as the same calls.
+func (t *Trace) pack() []uint64 {
+	// Upper bound on the words: folding makes encoded Compute entries
+	// fewer than ComputeCalls, and every entry takes at least one payload
+	// byte (only a split run of 2^32 calls or more yields extra words).
+	// The header is untrusted, so the payload length caps it.
+	words := make([]uint64, 0, min(t.Meta.Accesses+t.Meta.Markers+t.Meta.ComputeCalls, uint64(len(t.payload))))
 	var prev mem.Addr
 	p := t.payload
 	for len(p) > 0 {
 		tag := p[0]
 		p = p[1:]
 		switch tag & 0x03 {
-		case kindAccess:
+		case mem.EvAccess:
 			delta, n := binary.Varint(p)
 			p = p[n:]
 			prev = mem.Addr(int64(prev) + delta)
-			if uint64(prev) > maxPackAddr {
-				return nil, false
-			}
-			words = append(words, uint64(prev)<<packAddrShift|uint64(tag))
-		case kindCompute:
+			words = append(words, mem.AccessWord(prev, tag))
+		case mem.EvCompute:
 			cn, n := binary.Uvarint(p)
 			p = p[n:]
 			count, n := binary.Uvarint(p)
 			p = p[n:]
-			if cn > maxPackN || count > maxPackCount {
-				return nil, false
+			for ; count > mem.MaxWordCount; count -= mem.MaxWordCount {
+				words = append(words, mem.ComputeWord(cn, mem.MaxWordCount))
 			}
-			words = append(words, cn<<packNShift|count<<packCountShift|kindCompute)
+			words = append(words, mem.ComputeWord(cn, count))
 		default:
 			words = append(words, uint64(tag))
 		}
 	}
-	return words, true
+	return words
 }
 
-// ensurePacked builds the packed replay form once and reports whether the
-// stream is representable in it. When the packed form re-encodes the
-// payload byte-for-byte (always true for recorder-produced streams, whose
-// varints are minimal), the varint payload is released — keeping both
-// would double a replayed stream's resident size. Decoded streams with
-// non-minimal varints pack fine but keep their original bytes so
-// WriteTo/Encode stay exact. The release happens inside the Once, so every
-// payload reader that calls ensurePacked first observes it safely.
-func (t *Trace) ensurePacked() bool {
+// ensurePacked builds the packed replay form once. When the packed form
+// re-encodes the payload byte-for-byte (always true for recorder-produced
+// streams, whose varints are minimal), the varint payload is released —
+// keeping both would double a replayed stream's resident size. Decoded
+// streams with non-minimal varints or split compute runs keep their
+// original bytes so WriteTo/Encode stay exact. The release happens inside
+// the Once, so every payload reader that calls ensurePacked first observes
+// it safely.
+func (t *Trace) ensurePacked() {
 	t.packOnce.Do(func() {
-		t.packed, t.packOK = t.pack()
-		if t.packOK && bytes.Equal(t.rebuildWire(), t.payload) {
+		t.packed = t.pack()
+		if bytes.Equal(t.rebuildWire(), t.payload) {
 			t.payload = nil
 		}
 	})
-	return t.packOK
 }
 
 // wire returns the varint wire form of the payload, rebuilding it from the
-// packed form when the original was released. Cold path: replay never
-// touches it once a stream packs; only encoding (WriteTo) and event-level
-// iteration (Cursor) do.
+// packed form when the original was released. Cold path: only encoding
+// (WriteTo) reads it.
 func (t *Trace) wire() []byte {
-	if t.ensurePacked() && t.payload == nil {
+	t.ensurePacked()
+	if t.payload == nil {
 		return t.rebuildWire()
 	}
 	return t.payload
@@ -328,18 +307,16 @@ func (t *Trace) rebuildWire() []byte {
 	buf := make([]byte, 0, t.payloadLen)
 	var prev mem.Addr
 	for _, w := range t.packed {
-		switch w & 0x03 {
-		case kindAccess:
-			addr := mem.Addr(w >> packAddrShift)
-			buf = append(buf, byte(w))
+		buf = append(buf, byte(w))
+		switch mem.WordKind(w) {
+		case mem.EvAccess:
+			addr := mem.WordAddr(w)
 			buf = binary.AppendVarint(buf, int64(addr)-int64(prev))
 			prev = addr
-		case kindCompute:
-			buf = append(buf, kindCompute)
-			buf = binary.AppendUvarint(buf, w>>packNShift&maxPackN)
-			buf = binary.AppendUvarint(buf, w>>packCountShift)
-		default:
-			buf = append(buf, byte(w))
+		case mem.EvCompute:
+			n, count := mem.WordCompute(w)
+			buf = binary.AppendUvarint(buf, uint64(n))
+			buf = binary.AppendUvarint(buf, count)
 		}
 	}
 	return buf
@@ -348,82 +325,28 @@ func (t *Trace) rebuildWire() []byte {
 // Replay drives em with the recorded call sequence: the same calls, the
 // same arguments, the same order as the run that was captured.
 //
-// Consumers implementing mem.BatchEmitter are driven through the columnar
-// batched path (block-decoded SoA event batches, one call per run of
-// homogeneous events) whenever the stream packs; the call sequence is
-// semantically identical and implementations guarantee bit-identical
+// Consumers implementing mem.BatchEmitter are driven through the block
+// engine (windows of packed words, one call per block); the call sequence
+// is semantically identical and implementations guarantee bit-identical
 // state. ReplayScalar forces the event-at-a-time path.
 func (t *Trace) Replay(em mem.Emitter) {
-	if !t.ensurePacked() {
-		t.replayWire(em)
-		return
-	}
 	if be, ok := em.(mem.BatchEmitter); ok {
 		t.ReplayBatched(be, nil)
 		return
 	}
-	t.replayPacked(em)
+	t.ReplayScalar(em)
 }
 
 // ReplayScalar replays one emitter call at a time, never batching — the
 // reference path the batched engine is validated against, and the one
 // consumers with per-event instrumentation (the differential oracle) get
-// implicitly by not implementing mem.BatchEmitter.
+// implicitly by not implementing mem.BatchEmitter. It is
+// mem.EventBlock.Emit over the same windows ReplayBatched hands out.
 func (t *Trace) ReplayScalar(em mem.Emitter) {
-	if !t.ensurePacked() {
-		t.replayWire(em)
-		return
-	}
-	t.replayPacked(em)
-}
-
-// replayPacked is the scalar walk over the packed words.
-func (t *Trace) replayPacked(em mem.Emitter) {
-	for _, w := range t.packed {
-		switch w & 0x03 {
-		case kindAccess:
-			em.Access(mem.Addr(w>>packAddrShift), 1<<((byte(w)&accSizeMask)>>accSizeShift), w&accWriteBit != 0)
-		case kindCompute:
-			cn := int(w >> packNShift & maxPackN)
-			count := w >> packCountShift
-			for i := uint64(0); i < count; i++ {
-				em.Compute(cn)
-			}
-		case kindMarkerOn:
-			em.Marker(true)
-		case kindMarkerOff:
-			em.Marker(false)
-		}
-	}
-}
-
-// replayWire walks the encoded payload directly; the slow path for streams
-// the packed form cannot represent.
-func (t *Trace) replayWire(em mem.Emitter) {
-	var prev mem.Addr
-	p := t.wire()
-	for len(p) > 0 {
-		tag := p[0]
-		p = p[1:]
-		switch tag & 0x03 {
-		case kindAccess:
-			delta, n := binary.Varint(p)
-			p = p[n:]
-			prev = mem.Addr(int64(prev) + delta)
-			em.Access(prev, 1<<((tag&accSizeMask)>>accSizeShift), tag&accWriteBit != 0)
-		case kindCompute:
-			cn, n := binary.Uvarint(p)
-			p = p[n:]
-			count, n := binary.Uvarint(p)
-			p = p[n:]
-			for i := uint64(0); i < count; i++ {
-				em.Compute(int(cn))
-			}
-		case kindMarkerOn:
-			em.Marker(true)
-		case kindMarkerOff:
-			em.Marker(false)
-		}
+	blk := NewBlock(DefaultBlockEvents)
+	cur, _ := t.BlockCursor()
+	for cur.Next(blk) {
+		blk.Emit(em)
 	}
 }
 
@@ -436,30 +359,35 @@ func corruptf(off int, format string, args ...any) error {
 // the header counters.
 func validate(meta Meta, payload []byte) error {
 	var got Meta
+	var prev mem.Addr
 	off := 0
 	for off < len(payload) {
 		tag := payload[off]
 		start := off
 		off++
 		switch tag & 0x03 {
-		case kindAccess:
+		case mem.EvAccess:
 			if tag&accReserved != 0 {
 				return corruptf(start, "access tag 0x%02x has reserved bits set", tag)
 			}
-			_, n := binary.Varint(payload[off:])
+			delta, n := binary.Varint(payload[off:])
 			if n <= 0 {
 				return corruptf(start, "truncated or overlong access delta")
 			}
 			off += n
+			prev = mem.Addr(int64(prev) + delta)
+			if prev > mem.MaxWordAddr {
+				return corruptf(start, "access address %#x does not fit 56 bits", uint64(prev))
+			}
 			got.Accesses++
-			if tag&accWriteBit != 0 {
+			if mem.WordWrite(uint64(tag)) {
 				got.Writes++
 			} else {
 				got.Reads++
 			}
 			got.Events++
-		case kindCompute:
-			if tag != kindCompute {
+		case mem.EvCompute:
+			if tag != mem.EvCompute {
 				return corruptf(start, "compute tag 0x%02x has reserved bits set", tag)
 			}
 			cn, n := binary.Uvarint(payload[off:])
@@ -475,18 +403,21 @@ func validate(meta Meta, payload []byte) error {
 			if cn == 0 || count == 0 {
 				return corruptf(start, "compute with zero size or count")
 			}
-			if cn > uint64(1)<<31 || count > uint64(1)<<62/cn {
+			if cn > mem.MaxWordN {
+				return corruptf(start, "compute size %d does not fit 24 bits", cn)
+			}
+			if count > uint64(1)<<62/cn {
 				return corruptf(start, "compute run %d x %d overflows", cn, count)
 			}
 			got.ComputeInstr += cn * count
 			got.ComputeCalls += count
 			got.Events += count
-		case kindMarkerOn, kindMarkerOff:
+		case mem.EvMarkerOn, mem.EvMarkerOff:
 			if tag&^0x03 != 0 {
 				return corruptf(start, "marker tag 0x%02x has reserved bits set", tag)
 			}
 			got.Markers++
-			if tag&0x03 == kindMarkerOn {
+			if tag == mem.EvMarkerOn {
 				got.OnMarkers++
 			}
 			got.Events++

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -47,6 +48,53 @@ func emit(em mem.Emitter) {
 	em.Marker(false)
 	em.Access(1<<40, 8, false) // large delta
 	em.Compute(1)
+}
+
+// handEncode encodes calls the way the format allows but the Recorder
+// might refuse: one wire event per call, no folding and no bounds checks.
+func handEncode(calls []call) []byte {
+	var meta Meta
+	var payload []byte
+	var prev mem.Addr
+	for _, c := range calls {
+		meta.Events++
+		switch c.kind {
+		case KindAccess:
+			payload = append(payload, mem.AccessTag(c.size, c.write))
+			payload = binary.AppendVarint(payload, int64(c.addr)-int64(prev))
+			prev = c.addr
+			meta.Accesses++
+			if c.write {
+				meta.Writes++
+			} else {
+				meta.Reads++
+			}
+		case KindCompute:
+			payload = append(payload, mem.EvCompute)
+			payload = binary.AppendUvarint(payload, uint64(c.n))
+			payload = binary.AppendUvarint(payload, 1)
+			meta.ComputeInstr += uint64(c.n)
+			meta.ComputeCalls++
+		case KindMarker:
+			payload = append(payload, byte(mem.MarkerWord(c.on)))
+			meta.Markers++
+			if c.on {
+				meta.OnMarkers++
+			}
+		}
+	}
+	return encodeRaw(meta, payload)
+}
+
+// encodeRaw frames payload with a header carrying meta, without validating
+// either.
+func encodeRaw(meta Meta, payload []byte) []byte {
+	data := []byte(magic)
+	for _, v := range []uint64{meta.Events, meta.Accesses, meta.Reads, meta.ComputeInstr,
+		meta.ComputeCalls, meta.Markers, meta.OnMarkers, uint64(len(payload))} {
+		data = binary.AppendUvarint(data, v)
+	}
+	return append(data, payload...)
 }
 
 func recordSample(t *testing.T) *Trace {
