@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-unit bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
+.PHONY: check vet build test race bench-smoke bench-unit artifacts fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus tier1
 
-check: vet build race bench-smoke bench-unit serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
+check: vet build race bench-smoke bench-unit serve-smoke cluster-smoke loadgen-smoke validate-smoke artifacts fuzz-smoke
 
 # tier1 is the fast gate the roadmap requires of every change.
 tier1:
@@ -37,21 +37,6 @@ bench-smoke:
 # a few seconds including the build.
 bench-unit:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Regenerate the committed perf artifact: the full Table 3 sweep through the
-# batched replay engine, with per-benchmark event counts and wall times
-# (schema selcache-bench/v1, docs/PERFORMANCE.md §7). Wall times are host
-# measurements — expect them to differ run to run; the schema and event
-# counts are what CI validates.
-bench-json:
-	$(GO) run ./cmd/experiments -run table3 -benchjson BENCH_table3.json
-
-# CI smoke: emit the artifact from the cheapest sweep (Table 2 is a single
-# config), then re-load it through the schema validator.
-bench-json-smoke:
-	$(GO) run ./cmd/experiments -run table2 -benchjson /tmp/bench-smoke.json
-	$(GO) run ./cmd/experiments -verifybench /tmp/bench-smoke.json
-	rm -f /tmp/bench-smoke.json
 
 # Boot the selcached daemon on a random port, hit /healthz and one
 # /v1/run through its bundled ctl client, then SIGTERM and assert a
@@ -107,29 +92,22 @@ validate:
 corpus:
 	$(GO) run ./cmd/corpus -n 1000 -sample 32 -out /tmp/corpus.json
 
-# CI smoke: regenerate the committed smoke artifact from its own recorded
-# parameters and require byte equality — synthesis, sweep, profiles and
-# oracle verdicts must all be deterministic. Regenerate the artifact after
-# an intended change with:
+# Byte-check every deterministic committed artifact against a fresh
+# regeneration. cmd/corpus -verify reruns each corpus artifact's pipeline
+# from the corpus header it records and requires exactly the committed
+# bytes (synthesis, sweep, profiles, oracle verdicts, estimator scores and
+# the energy grid must all be deterministic); the paper's tables and
+# figures must match experiments_output.txt (about a minute on 2 CPUs).
+# Regenerate after an intended change with:
 #   go run ./cmd/corpus -n 96 -sample 8 -out CORPUS_smoke.json
-corpus-smoke:
-	$(GO) run ./cmd/corpus -verify CORPUS_smoke.json
-
-# CI smoke for the symbolic locality estimator: re-score the estimator
-# against the simulator over the smoke corpus and require the committed
-# accuracy artifact byte-identically (docs/ESTIMATOR.md). Regenerate after
-# an intended model change with:
 #   go run ./cmd/corpus -estimate -n 96 -out ESTIMATE_smoke.json
-estimate-smoke:
-	$(GO) run ./cmd/corpus -verify ESTIMATE_smoke.json
-
-# CI smoke for the energy model: resweep the {lru,ehc} × way-memo grid
-# over the smoke corpus and require the committed energy artifact
-# byte-identically (docs/ENERGY.md). Regenerate after an intended model
-# change with:
 #   go run ./cmd/corpus -energy -n 48 -out ENERGY_smoke.json
-energy-smoke:
+#   go run ./cmd/experiments > experiments_output.txt
+artifacts:
+	$(GO) run ./cmd/corpus -verify CORPUS_smoke.json
+	$(GO) run ./cmd/corpus -verify ESTIMATE_smoke.json
 	$(GO) run ./cmd/corpus -verify ENERGY_smoke.json
+	$(GO) run ./cmd/experiments | cmp - experiments_output.txt
 
 # 30 seconds of each fuzz target: enough to shake out codec and
 # marker-elimination regressions on fresh inputs without stalling the

@@ -25,11 +25,13 @@
 //
 //	corpus -energy -n 48 -out ENERGY_smoke.json
 //
-// Everything either artifact records is deterministic, so two runs with
+// Everything these artifacts record is deterministic, so two runs with
 // the same parameters produce byte-identical files; -verify exploits that
-// to turn a committed artifact into a regression gate (the artifact kind
-// is sniffed from its schema field). Exit status is non-zero on any
-// oracle divergence or verification mismatch.
+// to turn a committed artifact into a regression gate: it reruns the
+// pipeline from the artifact's own corpus header and requires the result
+// to encode to exactly the file's bytes (the artifact kind is sniffed from
+// its schema field). Exit status is non-zero on any oracle divergence or
+// verification mismatch.
 package main
 
 import (
@@ -85,73 +87,53 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	if *verify != "" {
-		return verifyArtifact(*verify, *workers, stdout)
+		return verifyArtifact(*verify, *workers, stdout, stderr)
+	}
+	if *estimate && *energyOn {
+		return fmt.Errorf("-estimate and -energy are mutually exclusive")
 	}
 
-	fams, err := selectFamilies(*familiesFlag)
-	if err != nil {
-		return err
+	var err error
+	fams := synth.Families()
+	if *familiesFlag != "" {
+		if fams, err = familiesByName(strings.Split(*familiesFlag, ",")); err != nil {
+			return err
+		}
 	}
 	o := core.DefaultOptions()
 	if o.Mechanism, err = selectMechanism(*mech); err != nil {
 		return err
 	}
 	spec := corpus.Spec{Families: fams, N: *n, BaseSeed: *seed}
-	if *estimate && *energyOn {
-		return fmt.Errorf("-estimate and -energy are mutually exclusive")
+	var art report.Artifact
+	switch {
+	case *energyOn:
+		art, err = executeEnergy(spec, o, *workers, stdout, stderr)
+	case *estimate:
+		art, err = executeEstimate(spec, o, *workers, stdout, stderr)
+	default:
+		art, err = execute(spec, *sample, o, *workers, stdout, stderr, *verbose)
 	}
-	if *energyOn {
-		art, err := executeEnergy(spec, o, *workers, stdout, stderr)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			if err := art.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *out)
-		}
-		return nil
-	}
-	if *estimate {
-		art, err := executeEstimate(spec, o, *workers, stdout, stderr)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			if err := art.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *out)
-		}
-		return nil
-	}
-	art, err := execute(spec, *sample, o, *workers, stdout, stderr, *verbose)
 	if err != nil {
 		return err
 	}
 	if *out != "" {
-		if err := art.WriteFile(*out); err != nil {
+		if err := report.WriteFile(*out, art); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
-	if art.OracleDivergences > 0 {
-		return fmt.Errorf("%d of %d oracle spot checks diverged", art.OracleDivergences, art.OracleSample)
-	}
-	return nil
+	return oracleErr(art)
 }
 
 // executeEstimate runs the synthesize → simulate → statically-analyze →
 // score pipeline behind -estimate.
 func executeEstimate(spec corpus.Spec, o core.Options, workers int, stdout, stderr io.Writer) (*report.EstimateJSON, error) {
 	start := time.Now()
-	kernels, st, err := corpus.Build(spec)
+	kernels, st, err := build(spec, stdout)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(stdout, "corpus: %d distinct kernels from %d families (%d draws, %d duplicates)\n",
-		len(kernels), len(spec.Families), st.Generated, st.Duplicates)
 	rows := corpus.Sweep(kernels, o, workers)
 	ests := corpus.Estimates(kernels, o, workers)
 	art := corpus.EstimateArtifact(spec, st, kernels, rows, ests, o)
@@ -170,12 +152,10 @@ func executeEstimate(spec corpus.Spec, o core.Options, workers int, stdout, stde
 // pipeline behind -energy.
 func executeEnergy(spec corpus.Spec, o core.Options, workers int, stdout, stderr io.Writer) (*report.EnergyJSON, error) {
 	start := time.Now()
-	kernels, st, err := corpus.Build(spec)
+	kernels, st, err := build(spec, stdout)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(stdout, "corpus: %d distinct kernels from %d families (%d draws, %d duplicates)\n",
-		len(kernels), len(spec.Families), st.Generated, st.Duplicates)
 	art := corpus.EnergyArtifact(spec, st, kernels, o, workers)
 	if err := art.Validate(); err != nil {
 		return nil, err
@@ -198,12 +178,10 @@ func executeEnergy(spec corpus.Spec, o core.Options, workers int, stdout, stderr
 // stdout stays deterministic.
 func execute(spec corpus.Spec, sample int, o core.Options, workers int, stdout, stderr io.Writer, verbose bool) (*report.CorpusJSON, error) {
 	start := time.Now()
-	kernels, st, err := corpus.Build(spec)
+	kernels, st, err := build(spec, stdout)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(stdout, "corpus: %d distinct kernels from %d families (%d draws, %d duplicates)\n",
-		len(kernels), len(spec.Families), st.Generated, st.Duplicates)
 	if verbose {
 		for _, k := range kernels {
 			fmt.Fprintf(stdout, "  %s  %s\n", k.Fingerprint[:12], k.Name())
@@ -228,12 +206,30 @@ func execute(spec corpus.Spec, sample int, o core.Options, workers int, stdout, 
 	return art, nil
 }
 
-// verifyArtifact reruns the pipeline from the committed artifact's own
-// recorded parameters and requires the regenerated artifact to be
-// byte-identical — the determinism regression gate behind `make
-// corpus-smoke` and `make estimate-smoke`. The artifact kind is sniffed
-// from its schema field.
-func verifyArtifact(path string, workers int, stdout io.Writer) error {
+// build synthesizes the corpus and reports what synthesis produced.
+func build(spec corpus.Spec, stdout io.Writer) ([]synth.Kernel, corpus.BuildStats, error) {
+	kernels, st, err := corpus.Build(spec)
+	if err == nil {
+		fmt.Fprintf(stdout, "corpus: %d distinct kernels from %d families (%d draws, %d duplicates)\n",
+			len(kernels), len(spec.Families), st.Generated, st.Duplicates)
+	}
+	return kernels, st, err
+}
+
+// oracleErr fails a corpus-profile run whose oracle spot checks diverged.
+func oracleErr(art report.Artifact) error {
+	if c, ok := art.(*report.CorpusJSON); ok && c.OracleDivergences > 0 {
+		return fmt.Errorf("%d of %d oracle spot checks diverged", c.OracleDivergences, c.OracleSample)
+	}
+	return nil
+}
+
+// verifyArtifact reruns the pipeline that produced the artifact at path
+// from the corpus header it records, and requires the regenerated artifact
+// to encode to exactly the file's bytes — the determinism gate behind
+// `make artifacts`. The artifact kind is sniffed from its schema field;
+// the file itself is loaded strictly, so an unknown field fails too.
+func verifyArtifact(path string, workers int, stdout, stderr io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -244,171 +240,72 @@ func verifyArtifact(path string, workers int, stdout io.Writer) error {
 	if err := json.Unmarshal(raw, &head); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	var got report.Artifact
 	switch head.Schema {
-	case report.EstimateSchema:
-		return verifyEstimateArtifact(path, workers, stdout)
 	case report.CorpusSchema:
-		return verifyCorpusArtifact(path, workers, stdout)
+		got, err = regenerate(path, func(want *report.CorpusJSON, spec corpus.Spec, o core.Options) (report.Artifact, error) {
+			return execute(spec, want.OracleSample, o, workers, stdout, stderr, false)
+		})
+	case report.EstimateSchema:
+		got, err = regenerate(path, func(_ *report.EstimateJSON, spec corpus.Spec, o core.Options) (report.Artifact, error) {
+			return executeEstimate(spec, o, workers, stdout, stderr)
+		})
 	case report.EnergySchema:
-		return verifyEnergyArtifact(path, workers, stdout)
+		got, err = regenerate(path, func(_ *report.EnergyJSON, spec corpus.Spec, o core.Options) (report.Artifact, error) {
+			return executeEnergy(spec, o, workers, stdout, stderr)
+		})
 	default:
 		return fmt.Errorf("%s: unknown schema %q (want %q, %q or %q)", path, head.Schema, report.CorpusSchema, report.EstimateSchema, report.EnergySchema)
 	}
-}
-
-// verifyEnergyArtifact is the energy-model counterpart: rerun the
-// policy × way-memo sweep from the artifact's recorded parameters and
-// require byte equality.
-func verifyEnergyArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadEnergyJSON(path)
 	if err != nil {
 		return err
 	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
-		f, ok := synth.FamilyByName(name)
-		if !ok {
-			return fmt.Errorf("%s: unknown family %q", path, name)
-		}
-		fams[i] = f
+	data, err := report.Encode(got)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(data, raw) {
+		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; rerun with -out if the change is intended)", path)
+	}
+	fmt.Fprintf(stdout, "verify %s: artifact regenerates byte-identically\n", path)
+	return oracleErr(got)
+}
+
+// regenerate loads the artifact at path strictly as a T, decodes its
+// corpus header back into the corpus spec and options, and reruns the
+// pipeline step that produced it.
+func regenerate[T any, PT interface {
+	*T
+	report.Artifact
+	Corpus() *report.CorpusHeader
+}](path string, step func(want PT, spec corpus.Spec, o core.Options) (report.Artifact, error)) (report.Artifact, error) {
+	want, err := report.Load[T, PT](path)
+	if err != nil {
+		return nil, err
+	}
+	h := PT(want).Corpus()
+	fams, err := familiesByName(h.Families)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	if o.Mechanism, err = selectMechanism(h.Mechanism); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
+	if o.Machine.Name != h.Machine {
+		return nil, fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, h.Machine, o.Machine.Name)
 	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
-		return err
-	}
-	got := corpus.EnergyArtifact(spec, st, kernels, o, workers)
-
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -energy -out if the change is intended)", path)
-	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels × %d combos, artifact regenerates byte-identically\n",
-		path, got.Kernels, len(got.Combos))
-	return nil
+	return step(want, corpus.Spec{Families: fams, N: h.Requested, BaseSeed: h.BaseSeed}, o)
 }
 
-func verifyCorpusArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadCorpusJSON(path)
-	if err != nil {
-		return err
-	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
-		f, ok := synth.FamilyByName(name)
-		if !ok {
-			return fmt.Errorf("%s: unknown family %q", path, name)
-		}
-		fams[i] = f
-	}
-	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
-	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
-		return err
-	}
-	rows := corpus.Sweep(kernels, o, workers)
-	checks := corpus.SpotCheck(kernels, want.OracleSample, o, workers)
-	got := corpus.Artifact(spec, st, kernels, rows, checks, o)
-
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -out if the change is intended)", path)
-	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels, oracle %d/%d clean, artifact regenerates byte-identically\n",
-		path, got.Kernels, got.OracleSample-got.OracleDivergences, got.OracleSample)
-	if got.OracleDivergences > 0 {
-		return fmt.Errorf("%d oracle spot checks diverged", got.OracleDivergences)
-	}
-	return nil
-}
-
-// verifyEstimateArtifact is the estimator-accuracy counterpart: rerun the
-// simulate-and-score pipeline from the artifact's recorded parameters and
-// require byte equality.
-func verifyEstimateArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadEstimateJSON(path)
-	if err != nil {
-		return err
-	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
-		f, ok := synth.FamilyByName(name)
-		if !ok {
-			return fmt.Errorf("%s: unknown family %q", path, name)
-		}
-		fams[i] = f
-	}
-	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
-	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
-		return err
-	}
-	rows := corpus.Sweep(kernels, o, workers)
-	ests := corpus.Estimates(kernels, o, workers)
-	got := corpus.EstimateArtifact(spec, st, kernels, rows, ests, o)
-
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -estimate -out if the change is intended)", path)
-	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels, %d exact / %d bounded / %d declined, artifact regenerates byte-identically\n",
-		path, got.Kernels, got.Exact, got.Bounded, got.Declined)
-	return nil
-}
-
-func selectFamilies(csv string) ([]synth.Family, error) {
-	if csv == "" {
-		return synth.Families(), nil
-	}
-	var out []synth.Family
-	for _, name := range strings.Split(csv, ",") {
+func familiesByName(names []string) ([]synth.Family, error) {
+	out := make([]synth.Family, len(names))
+	for i, name := range names {
 		f, ok := synth.FamilyByName(strings.TrimSpace(name))
 		if !ok {
 			return nil, fmt.Errorf("unknown family %q (see -list)", name)
 		}
-		out = append(out, f)
+		out[i] = f
 	}
 	return out, nil
 }

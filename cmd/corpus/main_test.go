@@ -69,7 +69,7 @@ func TestRunSmallCorpusEndToEnd(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
 	}
-	art, err := report.LoadCorpusJSON(out)
+	art, err := report.Load[report.CorpusJSON](out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunSmallCorpusEndToEnd(t *testing.T) {
 	// Tampering with the committed artifact must fail verification even
 	// when the file still validates structurally.
 	art.Profiles[0].Versions[0].Cycles++
-	if err := art.WriteFile(out); err != nil {
+	if err := report.WriteFile(out, art); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-verify", out}, &stdout, &stderr); err == nil ||
@@ -115,7 +115,7 @@ func TestRunEstimateEndToEnd(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
 	}
-	art, err := report.LoadEstimateJSON(out)
+	art, err := report.Load[report.EstimateJSON](out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunEstimateEndToEnd(t *testing.T) {
 	// A tampered accuracy number must fail verification even though the
 	// file still validates structurally.
 	art.Overall[0].MaxAbsErrPct += art.Overall[0].MeanAbsErrPct + 1
-	if err := art.WriteFile(out); err != nil {
+	if err := report.WriteFile(out, art); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-verify", out}, &stdout, &stderr); err == nil ||
@@ -143,16 +143,51 @@ func TestRunEstimateEndToEnd(t *testing.T) {
 	}
 }
 
-// TestVerifyCommittedEstimateArtifact regenerates the checked-in estimator
-// smoke artifact — the `make estimate-smoke` gate, kept in `go test` so
-// tier-1 alone catches model drift.
-func TestVerifyCommittedEstimateArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("estimate artifact regeneration is a full 96-kernel sweep")
+// TestVerifyComparesRawBytes pins that -verify compares the regenerated
+// artifact against the file's own bytes: a file that decodes to the same
+// values but carries an unknown field, or lacks the trailing newline the
+// encoding ends with, must fail, and the clean file must pass.
+func TestVerifyComparesRawBytes(t *testing.T) {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "energy.json")
+	args := []string{"-energy", "-n", "3", "-seed", "1",
+		"-families", "shallow/affine/small/unit,medium/irregular/small/spread", "-out", clean}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstdout:\n%s", err, stdout.String())
 	}
-	path := filepath.Join("..", "..", "ESTIMATE_smoke.json")
+	raw, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", clean}, &stdout, &stderr); err != nil {
+		t.Fatalf("verify of the clean artifact: %v", err)
+	}
+	for _, tc := range []struct{ name, data, want string }{
+		{"unknown field", strings.Replace(string(raw), "{\n", "{\n  \"stale_field\": 42,\n", 1), "unknown field"},
+		{"no trailing newline", strings.TrimSuffix(string(raw), "\n"), "differs from committed"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-verify", path}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: verify = %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// verifyCommitted regenerates one checked-in artifact at the repo root
+// from its own header — the `make artifacts` gate, kept in `go test` so
+// tier-1 alone catches drift.
+func verifyCommitted(t *testing.T, file string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("committed artifact regeneration is a full smoke-corpus sweep")
+	}
+	path := filepath.Join("..", "..", file)
 	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("committed estimate artifact missing: %v", err)
+		t.Fatalf("committed artifact missing: %v", err)
 	}
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-verify", path}, &stdout, &stderr); err != nil {
@@ -160,19 +195,6 @@ func TestVerifyCommittedEstimateArtifact(t *testing.T) {
 	}
 }
 
-// TestVerifyCommittedSmokeArtifact regenerates the checked-in smoke
-// artifact from its own parameters — the same gate `make corpus-smoke`
-// runs, kept in `go test` so tier-1 alone catches drift.
-func TestVerifyCommittedSmokeArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke artifact regeneration is a full 96-kernel sweep")
-	}
-	path := filepath.Join("..", "..", "CORPUS_smoke.json")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("committed smoke artifact missing: %v", err)
-	}
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-verify", path}, &stdout, &stderr); err != nil {
-		t.Fatalf("verify: %v\nstdout:\n%s", err, stdout.String())
-	}
-}
+func TestVerifyCommittedSmokeArtifact(t *testing.T)    { verifyCommitted(t, "CORPUS_smoke.json") }
+func TestVerifyCommittedEstimateArtifact(t *testing.T) { verifyCommitted(t, "ESTIMATE_smoke.json") }
+func TestVerifyCommittedEnergyArtifact(t *testing.T)   { verifyCommitted(t, "ENERGY_smoke.json") }

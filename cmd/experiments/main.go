@@ -44,31 +44,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runSel      = fs.String("run", "all", "table2|figures|table3|all")
-		workers     = fs.Int("workers", 0, "worker pool size (0: one per CPU, 1: serial)")
-		tracedir    = fs.String("tracedir", "", "persist recorded event traces as .sctrace files in `dir`")
-		cpuprofile  = fs.String("cpuprofile", "", "write CPU profile to `file`")
-		benchjson   = fs.String("benchjson", "", "write a machine-readable perf artifact (selcache-bench/v1) to `file`")
-		verifybench = fs.String("verifybench", "", "validate an existing perf artifact at `file` and exit")
-		policySel   = fs.String("policy", "lru", "cache replacement policy for every cell: lru|ehc")
-		waymemo     = fs.Bool("waymemo", false, "enable way memoization on every cell")
-		energyOn    = fs.Bool("energy", false, "enable the energy model and print per-figure energy tables")
+		runSel     = fs.String("run", "all", "table2|figures|table3|all")
+		workers    = fs.Int("workers", 0, "worker pool size (0: one per CPU, 1: serial)")
+		tracedir   = fs.String("tracedir", "", "persist recorded event traces as .sctrace files in `dir`")
+		cpuprofile = fs.String("cpuprofile", "", "write CPU profile to `file`")
+		policySel  = fs.String("policy", "lru", "cache replacement policy for every cell: lru|ehc")
+		waymemo    = fs.Bool("waymemo", false, "enable way memoization on every cell")
+		energyOn   = fs.Bool("energy", false, "enable the energy model and print per-figure energy tables")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (flags only)", fs.Arg(0))
-	}
-
-	if *verifybench != "" {
-		b, err := report.LoadBenchJSON(*verifybench)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "%s: valid %s artifact (run=%s, %d benchmarks, %.1fM events/s)\n",
-			*verifybench, b.Schema, b.Run, len(b.Benchmarks), b.EventsPerSecond/1e6)
-		return nil
 	}
 
 	doTable2 := *runSel == "all" || *runSel == "table2"
@@ -111,31 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Per-benchmark perf cells for -benchjson, accumulated across every
-	// selection that ran, in first-seen (paper) order.
-	var cells []report.BenchCell
-	cellIdx := map[string]int{}
-	addCell := func(name string, ev uint64, wall int64) {
-		if *benchjson == "" {
-			return
-		}
-		i, ok := cellIdx[name]
-		if !ok {
-			i = len(cells)
-			cellIdx[name] = i
-			cells = append(cells, report.BenchCell{Name: name})
-		}
-		cells[i].Events += ev
-		cells[i].WallNanos += wall
-	}
-	addSweep := func(sw experiments.Sweep) {
-		for _, row := range sw.Rows {
-			for v := range row.Stats {
-				addCell(row.Benchmark, row.Stats[v].Instructions, row.Stats[v].WallNanos)
-			}
-		}
-	}
-
 	tc := experiments.NewTraceCache(*tracedir)
 	start := time.Now()
 	var events uint64
@@ -143,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rows := experiments.Table2CachedMod(*workers, tc, mod)
 		for _, r := range rows {
 			events += r.Instructions
-			addCell(r.Benchmark, r.Instructions, r.WallNanos)
 		}
 		report.WriteTable2(stdout, rows)
 	}
@@ -151,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, f := range experiments.Figures() {
 			sw := experiments.RunFigureCachedMod(f, *workers, tc, mod)
 			events += sw.Events()
-			addSweep(sw)
 			report.WriteFigure(stdout, f.Name(), sw)
 			if *energyOn {
 				report.WriteEnergy(stdout, sw)
@@ -165,27 +126,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rows, sweeps := experiments.Table3CachedMod(*workers, tc, mod)
 		for _, sw := range sweeps {
 			events += sw.Events()
-			addSweep(sw)
 		}
 		report.WriteTable3(stdout, rows)
 	}
 	elapsed := time.Since(start)
-
-	if *benchjson != "" {
-		bj := &report.BenchJSON{
-			Schema:     report.BenchSchema,
-			Run:        *runSel,
-			Workers:    parallel.Workers(*workers),
-			Events:     events,
-			WallNanos:  elapsed.Nanoseconds(),
-			Benchmarks: cells,
-		}
-		bj.Finalize()
-		if err := bj.WriteFile(*benchjson); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "perf artifact: %s (%d benchmarks)\n", *benchjson, len(bj.Benchmarks))
-	}
 
 	writeSummary(stderr, events, elapsed, parallel.Workers(*workers), tc.Stats(), *tracedir != "")
 	return nil

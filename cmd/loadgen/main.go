@@ -68,48 +68,64 @@ type plan struct {
 var classOrder = []string{"run", "sweep", "estimate"}
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable body of main: flag parsing and dispatch with
+// injectable arguments and output streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "", "server base URL (e.g. http://127.0.0.1:8080); required unless -plan-only or -verify")
-		out       = flag.String("out", "BENCH_loadgen.json", "artifact path")
-		seed      = flag.Int64("seed", 1, "plan seed; equal seeds and flags render byte-identical plans")
-		clients   = flag.Int("clients", 8, "connection-pool size (recorded in the artifact)")
-		rate      = flag.Float64("rate", 50, "mean arrival rate for the base phases, requests/sec")
-		requests  = flag.Int("requests", 100, "requests per base phase")
-		cells     = flag.Int("cells", 32, "corpus size (named workloads first, then synthetic family#seed)")
-		zipfS     = flag.Float64("zipf", 1.2, "zipfian popularity skew (must exceed 1)")
-		mixFlag   = flag.String("mix", "run=0.6,sweep=0.2,estimate=0.2", "request-class fractions")
-		named     = flag.String("named", "compress,swim,tpc-c", "named workloads joining the corpus tail (synthetic cells take the popular head)")
-		overNamed = flag.String("overload-named", "swim,compress,mgrid,adi,applu,vpenta", "expensive named workloads for the overload burst")
-		phases    = flag.String("phases", "cold,warm", "comma-separated phases to execute: cold, warm, peer, overload")
-		overMult  = flag.Float64("overload-mult", 20, "overload arrival-rate multiplier")
-		overReqs  = flag.Int("overload-requests", 0, "overload phase size (default: -requests)")
-		planOnly  = flag.Bool("plan-only", false, "render and write the plan without sending traffic")
-		appendTo  = flag.Bool("append", false, "extend an existing artifact (digests must match)")
-		verify    = flag.String("verify", "", "validate an artifact and exit")
-		reqTO     = flag.Duration("req-timeout", 2*time.Minute, "per-request timeout")
-		phaseWait = flag.Duration("settle", 0, "sleep between phases (lets background fills drain)")
+		addr      = fs.String("addr", "", "server base URL (e.g. http://127.0.0.1:8080); required unless -plan-only or -verify")
+		out       = fs.String("out", "BENCH_loadgen.json", "artifact path")
+		seed      = fs.Int64("seed", 1, "plan seed; equal seeds and flags render byte-identical plans")
+		clients   = fs.Int("clients", 8, "connection-pool size (recorded in the artifact)")
+		rate      = fs.Float64("rate", 50, "mean arrival rate for the base phases, requests/sec")
+		requests  = fs.Int("requests", 100, "requests per base phase")
+		cells     = fs.Int("cells", 32, "corpus size (named workloads first, then synthetic family#seed)")
+		zipfS     = fs.Float64("zipf", 1.2, "zipfian popularity skew (must exceed 1)")
+		mixFlag   = fs.String("mix", "run=0.6,sweep=0.2,estimate=0.2", "request-class fractions")
+		named     = fs.String("named", "compress,swim,tpc-c", "named workloads joining the corpus tail (synthetic cells take the popular head)")
+		overNamed = fs.String("overload-named", "swim,compress,mgrid,adi,applu,vpenta", "expensive named workloads for the overload burst")
+		phases    = fs.String("phases", "cold,warm", "comma-separated phases to execute: cold, warm, peer, overload")
+		overMult  = fs.Float64("overload-mult", 20, "overload arrival-rate multiplier")
+		overReqs  = fs.Int("overload-requests", 0, "overload phase size (default: -requests)")
+		planOnly  = fs.Bool("plan-only", false, "render and write the plan without sending traffic")
+		appendTo  = fs.Bool("append", false, "extend an existing artifact (digests must match)")
+		verify    = fs.String("verify", "", "validate an artifact and exit")
+		reqTO     = fs.Duration("req-timeout", 2*time.Minute, "per-request timeout")
+		phaseWait = fs.Duration("settle", 0, "sleep between phases (lets background fills drain)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags only)", fs.Arg(0))
+	}
 
 	if *verify != "" {
-		l, err := report.LoadLoadgenJSON(*verify)
+		l, err := report.Load[report.LoadgenJSON](*verify)
 		if err != nil {
-			fatalf("verify: %v", err)
+			return fmt.Errorf("verify: %w", err)
 		}
-		fmt.Printf("%s: ok (%s, %d phases, digest %s)\n", *verify, l.Schema, len(l.Phases), l.PlanDigest[:12])
-		return
+		fmt.Fprintf(stdout, "%s: ok (%s, %d phases, digest %s)\n", *verify, l.Schema, len(l.Phases), l.PlanDigest[:12])
+		return nil
 	}
 
 	mix, err := parseMix(*mixFlag)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *overReqs == 0 {
 		*overReqs = *requests
 	}
 	pl, err := buildPlan(*seed, *cells, *requests, *overReqs, *rate, *rate**overMult, *zipfS, mix, splitCSV(*named), splitCSV(*overNamed))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	art := &report.LoadgenJSON{
@@ -123,12 +139,12 @@ func main() {
 	}
 	hashes := map[string]string{}
 	if *appendTo {
-		prev, err := report.LoadLoadgenJSON(*out)
+		prev, err := report.Load[report.LoadgenJSON](*out)
 		if err != nil {
-			fatalf("append: %v", err)
+			return fmt.Errorf("append: %w", err)
 		}
 		if prev.PlanDigest != pl.digest {
-			fatalf("append: artifact plan digest %s does not match this plan (%s); same seed and flags required",
+			return fmt.Errorf("append: artifact plan digest %s does not match this plan (%s); same seed and flags required",
 				prev.PlanDigest[:12], pl.digest[:12])
 		}
 		art = prev
@@ -148,16 +164,16 @@ func main() {
 			}
 			art.Phases = append(art.Phases, report.LoadgenPhase{Name: name, Requests: n})
 		}
-		if err := art.WriteFile(*out); err != nil {
-			fatalf("%v", err)
+		if err := report.WriteFile(*out, art); err != nil {
+			return err
 		}
-		fmt.Printf("plan %s: %d base + %d overload requests over %d cells -> %s\n",
+		fmt.Fprintf(stdout, "plan %s: %d base + %d overload requests over %d cells -> %s\n",
 			pl.digest[:12], len(pl.base), len(pl.overload), *cells, *out)
-		return
+		return nil
 	}
 
 	if *addr == "" {
-		fatalf("-addr is required to send traffic (or use -plan-only)")
+		return fmt.Errorf("-addr is required to send traffic (or use -plan-only)")
 	}
 	client := &http.Client{
 		Timeout: *reqTO,
@@ -178,15 +194,16 @@ func main() {
 		ph, miss := runPhase(client, strings.TrimSuffix(*addr, "/"), name, reqs, hashes)
 		mismatches += miss
 		art.Phases = append(art.Phases, ph)
-		fmt.Printf("phase %-8s %5d req  %8.1f req/s  p50 %7.2fms  p99 %7.2fms  shed %d  tiers %v\n",
+		fmt.Fprintf(stdout, "phase %-8s %5d req  %8.1f req/s  p50 %7.2fms  p99 %7.2fms  shed %d  tiers %v\n",
 			name, ph.Requests, ph.RequestsPerSecond, ph.P50Millis, ph.P99Millis, ph.Shed, ph.ByTier)
 	}
 	art.BodyHashes = hashes
 	art.BodyHashMismatches += mismatches
-	if err := art.WriteFile(*out); err != nil {
-		fatalf("%v", err)
+	if err := report.WriteFile(*out, art); err != nil {
+		return err
 	}
-	fmt.Printf("wrote %s (digest %s)\n", *out, pl.digest[:12])
+	fmt.Fprintf(stdout, "wrote %s (digest %s)\n", *out, pl.digest[:12])
+	return nil
 }
 
 // buildPlan renders the deterministic schedule. Everything flows from one
@@ -460,9 +477,4 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "loadgen: "+format+"\n", args...)
-	os.Exit(1)
 }

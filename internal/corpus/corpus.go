@@ -296,14 +296,14 @@ func Divergences(results []SpotCheckResult) int {
 	return n
 }
 
-// Artifact assembles the corpus-profile artifact from a completed run.
-func Artifact(spec Spec, st BuildStats, kernels []synth.Kernel, rows []Row, checks []SpotCheckResult, o core.Options) *report.CorpusJSON {
+// header records the corpus a run swept: the parameters that regenerate
+// it and what synthesis produced. Every corpus-derived artifact embeds it.
+func header(spec Spec, st BuildStats, kernels []synth.Kernel, o core.Options) report.CorpusHeader {
 	fams := make([]string, len(spec.Families))
 	for i, f := range spec.Families {
 		fams[i] = f.Name()
 	}
-	return &report.CorpusJSON{
-		Schema:            report.CorpusSchema,
+	return report.CorpusHeader{
 		Families:          fams,
 		Requested:         spec.N,
 		Kernels:           len(kernels),
@@ -312,6 +312,14 @@ func Artifact(spec Spec, st BuildStats, kernels []synth.Kernel, rows []Row, chec
 		Machine:           o.Machine.Name,
 		Mechanism:         o.Mechanism.String(),
 		CorpusFingerprint: Fingerprint(kernels),
+	}
+}
+
+// Artifact assembles the corpus-profile artifact from a completed run.
+func Artifact(spec Spec, st BuildStats, kernels []synth.Kernel, rows []Row, checks []SpotCheckResult, o core.Options) *report.CorpusJSON {
+	return &report.CorpusJSON{
+		Schema:            report.CorpusSchema,
+		CorpusHeader:      header(spec, st, kernels, o),
 		OracleSample:      len(checks),
 		OracleDivergences: Divergences(checks),
 		Profiles:          Profiles(rows),

@@ -31,20 +31,9 @@ var energyCombos = []struct {
 // artifact cheap. Every aggregate is an integer sum over kernels, so the
 // result is order-independent and byte-identical across worker counts.
 func EnergyArtifact(spec Spec, st BuildStats, kernels []synth.Kernel, o core.Options, workers int) *report.EnergyJSON {
-	fams := make([]string, len(spec.Families))
-	for i, f := range spec.Families {
-		fams[i] = f.Name()
-	}
 	e := &report.EnergyJSON{
-		Schema:            report.EnergySchema,
-		Families:          fams,
-		Requested:         spec.N,
-		Kernels:           len(kernels),
-		Duplicates:        st.Duplicates,
-		BaseSeed:          spec.BaseSeed,
-		Machine:           o.Machine.Name,
-		Mechanism:         o.Mechanism.String(),
-		CorpusFingerprint: Fingerprint(kernels),
+		Schema:       report.EnergySchema,
+		CorpusHeader: header(spec, st, kernels, o),
 	}
 	for _, combo := range energyCombos {
 		oc := o

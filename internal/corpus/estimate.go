@@ -78,20 +78,9 @@ func EstimateArtifact(spec Spec, st BuildStats, kernels []synth.Kernel, rows []R
 	}
 	sort.Strings(classes)
 
-	fams := make([]string, len(spec.Families))
-	for i, f := range spec.Families {
-		fams[i] = f.Name()
-	}
 	art := &report.EstimateJSON{
-		Schema:            report.EstimateSchema,
-		Families:          fams,
-		Requested:         spec.N,
-		Kernels:           len(kernels),
-		Duplicates:        st.Duplicates,
-		BaseSeed:          spec.BaseSeed,
-		Machine:           o.Machine.Name,
-		Mechanism:         o.Mechanism.String(),
-		CorpusFingerprint: Fingerprint(kernels),
+		Schema:       report.EstimateSchema,
+		CorpusHeader: header(spec, st, kernels, o),
 	}
 
 	versions := core.Versions()

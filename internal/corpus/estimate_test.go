@@ -107,12 +107,12 @@ func TestEstimateArtifactValidateRejects(t *testing.T) {
 		bad.Classes = append([]report.EstimateClassAccuracy(nil), art.Classes...)
 		bad.Overall = append([]report.EstimateVersionAccuracy(nil), art.Overall...)
 		tc.mutate(&bad)
-		if err := bad.Validate(); err == nil {
+		if _, err := report.Encode(&bad); err == nil {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}
 
-	if _, err := report.LoadEstimateJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := report.Load[report.EstimateJSON](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loaded a missing artifact")
 	}
 }

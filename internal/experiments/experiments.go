@@ -266,11 +266,6 @@ type Table2Row struct {
 	L1MissPct    float64
 	L2MissPct    float64
 	ConflictPct  float64 // share of L1 misses that are conflict misses
-
-	// WallNanos is the host wall time of the base-run replay behind the
-	// row — nondeterministic, excluded from golden output, used by the
-	// -benchjson perf artifact for per-benchmark ns/event.
-	WallNanos int64
 }
 
 // Table2 reproduces the benchmark-characteristics table. Classification of
@@ -309,7 +304,6 @@ func Table2CachedMod(workers int, tc *TraceCache, mod OptionMod) []Table2Row {
 			Instructions: s.Instructions,
 			L1MissPct:    100 * s.L1.MissRate(),
 			L2MissPct:    100 * s.L2.MissRate(),
-			WallNanos:    s.WallNanos,
 		}
 		if t := s.L1Class.Total(); t > 0 {
 			row.ConflictPct = 100 * float64(s.L1Class.Conflict) / float64(t)

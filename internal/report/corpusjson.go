@@ -1,21 +1,57 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // CorpusSchema identifies the machine-readable corpus-profile artifact
 // emitted by `cmd/corpus -out` (committed as CORPUS_smoke.json at the repo
-// root for the smoke-sized corpus). Consumers must reject files whose
-// schema field differs; bump the suffix on any incompatible change.
+// root for the smoke-sized corpus).
 //
-// Unlike the bench artifact (BenchSchema), every field here is
-// deterministic — no wall times — so regenerating an artifact from the
-// same corpus parameters is byte-identical, and CI diffs the committed
-// file against a fresh regeneration.
+// Every field here is deterministic — no wall times — so regenerating an
+// artifact from the same corpus parameters is byte-identical, and `make
+// artifacts` compares the committed file against a fresh regeneration.
 const CorpusSchema = "selcache-corpus/v1"
+
+// CorpusHeader identifies the synthesized corpus a corpus-derived artifact
+// (corpus, estimate, energy) was computed over: the parameters -verify
+// regenerates it from, plus what synthesis produced. Each of those types
+// embeds it right after its schema field, so these keys lead the file.
+type CorpusHeader struct {
+	// Families lists the family names the corpus drew from, in draw
+	// order; Requested is the kernel count asked for, Kernels the
+	// fingerprint-distinct count actually swept, Duplicates how many
+	// draws were dropped as fingerprint collisions.
+	Families   []string `json:"families"`
+	Requested  int      `json:"requested"`
+	Kernels    int      `json:"kernels"`
+	Duplicates int      `json:"duplicates"`
+	BaseSeed   uint64   `json:"base_seed"`
+	Machine    string   `json:"machine"`
+	Mechanism  string   `json:"mechanism"`
+	// CorpusFingerprint is the SHA-256 over the sorted kernel
+	// fingerprints: two corpora with equal values contain identical
+	// kernels.
+	CorpusFingerprint string `json:"corpus_fingerprint"`
+}
+
+// Corpus returns the header itself, so code generic over the
+// corpus-derived artifacts can reach it.
+func (h *CorpusHeader) Corpus() *CorpusHeader { return h }
+
+func (h *CorpusHeader) validate() error {
+	switch {
+	case len(h.Families) == 0:
+		return fmt.Errorf("no families")
+	case h.Kernels < 1:
+		return fmt.Errorf("%d kernels", h.Kernels)
+	case h.Requested < 1:
+		return fmt.Errorf("requested %d", h.Requested)
+	case h.Duplicates < 0:
+		return fmt.Errorf("negative duplicates %d", h.Duplicates)
+	case len(h.CorpusFingerprint) != 64:
+		return fmt.Errorf("corpus fingerprint %q is not a sha256 hex digest", h.CorpusFingerprint)
+	}
+	return nil
+}
 
 // CorpusVersionProfile is one simulated version's aggregate locality
 // profile over every kernel of a class: counter totals plus the derived
@@ -61,21 +97,7 @@ type CorpusClassProfile struct {
 // was swept and spot-checked, and the per-class locality profiles.
 type CorpusJSON struct {
 	Schema string `json:"schema"`
-	// Families lists the family names the corpus drew from, in draw
-	// order; Requested is the kernel count asked for, Kernels the
-	// fingerprint-distinct count actually swept, Duplicates how many
-	// draws were dropped as fingerprint collisions.
-	Families   []string `json:"families"`
-	Requested  int      `json:"requested"`
-	Kernels    int      `json:"kernels"`
-	Duplicates int      `json:"duplicates"`
-	BaseSeed   uint64   `json:"base_seed"`
-	Machine    string   `json:"machine"`
-	Mechanism  string   `json:"mechanism"`
-	// CorpusFingerprint is the SHA-256 over the sorted kernel
-	// fingerprints: two corpora with equal values contain identical
-	// kernels.
-	CorpusFingerprint string `json:"corpus_fingerprint"`
+	CorpusHeader
 	// OracleSample is how many kernels went through differential-oracle
 	// lockstep; OracleDivergences how many diverged (0 on a clean run).
 	OracleSample      int `json:"oracle_sample"`
@@ -84,31 +106,19 @@ type CorpusJSON struct {
 	Profiles []CorpusClassProfile `json:"profiles"`
 }
 
-// Validate checks the artifact's schema and structural invariants.
+// SchemaID implements Artifact.
+func (*CorpusJSON) SchemaID() string { return CorpusSchema }
+
+// Validate checks the artifact's structural invariants.
 func (c *CorpusJSON) Validate() error {
-	if c.Schema != CorpusSchema {
-		return fmt.Errorf("corpusjson: schema %q, want %q", c.Schema, CorpusSchema)
-	}
-	if len(c.Families) == 0 {
-		return fmt.Errorf("corpusjson: no families")
-	}
-	if c.Kernels < 1 {
-		return fmt.Errorf("corpusjson: %d kernels", c.Kernels)
-	}
-	if c.Requested < 1 {
-		return fmt.Errorf("corpusjson: requested %d", c.Requested)
-	}
-	if c.Duplicates < 0 {
-		return fmt.Errorf("corpusjson: negative duplicates %d", c.Duplicates)
-	}
-	if len(c.CorpusFingerprint) != 64 {
-		return fmt.Errorf("corpusjson: corpus fingerprint %q is not a sha256 hex digest", c.CorpusFingerprint)
+	if err := c.CorpusHeader.validate(); err != nil {
+		return err
 	}
 	if c.OracleSample < 0 || c.OracleDivergences < 0 || c.OracleDivergences > c.OracleSample {
-		return fmt.Errorf("corpusjson: oracle sample %d / divergences %d", c.OracleSample, c.OracleDivergences)
+		return fmt.Errorf("oracle sample %d / divergences %d", c.OracleSample, c.OracleDivergences)
 	}
 	if len(c.Profiles) == 0 {
-		return fmt.Errorf("corpusjson: no class profiles")
+		return fmt.Errorf("no class profiles")
 	}
 	kernels := 0
 	seen := make(map[string]bool, len(c.Profiles))
@@ -116,24 +126,24 @@ func (c *CorpusJSON) Validate() error {
 	for i, p := range c.Profiles {
 		switch {
 		case p.Class == "":
-			return fmt.Errorf("corpusjson: profile %d has empty class", i)
+			return fmt.Errorf("profile %d has empty class", i)
 		case seen[p.Class]:
-			return fmt.Errorf("corpusjson: duplicate class %q", p.Class)
+			return fmt.Errorf("duplicate class %q", p.Class)
 		case p.Class < prev:
-			return fmt.Errorf("corpusjson: classes not sorted (%q after %q)", p.Class, prev)
+			return fmt.Errorf("classes not sorted (%q after %q)", p.Class, prev)
 		case p.Kernels < 1:
-			return fmt.Errorf("corpusjson: class %q has %d kernels", p.Class, p.Kernels)
+			return fmt.Errorf("class %q has %d kernels", p.Class, p.Kernels)
 		case p.Events == 0:
-			return fmt.Errorf("corpusjson: class %q has zero events", p.Class)
+			return fmt.Errorf("class %q has zero events", p.Class)
 		case len(p.Versions) == 0:
-			return fmt.Errorf("corpusjson: class %q has no version profiles", p.Class)
+			return fmt.Errorf("class %q has no version profiles", p.Class)
 		}
 		seen[p.Class] = true
 		prev = p.Class
 		kernels += p.Kernels
 		for _, v := range p.Versions {
 			if v.Version == "" {
-				return fmt.Errorf("corpusjson: class %q has an unnamed version profile", p.Class)
+				return fmt.Errorf("class %q has an unnamed version profile", p.Class)
 			}
 			for _, r := range []struct {
 				name string
@@ -144,43 +154,13 @@ func (c *CorpusJSON) Validate() error {
 				{"sldt_spatial_pct", v.SLDTSpatialPct},
 			} {
 				if r.pct < 0 || r.pct > 100 {
-					return fmt.Errorf("corpusjson: class %q version %q %s %g outside [0, 100]", p.Class, v.Version, r.name, r.pct)
+					return fmt.Errorf("class %q version %q %s %g outside [0, 100]", p.Class, v.Version, r.name, r.pct)
 				}
 			}
 		}
 	}
 	if kernels != c.Kernels {
-		return fmt.Errorf("corpusjson: profiles cover %d kernels, header says %d", kernels, c.Kernels)
+		return fmt.Errorf("profiles cover %d kernels, header says %d", kernels, c.Kernels)
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline (diff-friendly for a committed file; regeneration from
-// the same corpus parameters is byte-identical).
-func (c *CorpusJSON) WriteFile(path string) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadCorpusJSON reads and validates a corpus-profile artifact.
-func LoadCorpusJSON(path string) (*CorpusJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c CorpusJSON
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &c, nil
 }

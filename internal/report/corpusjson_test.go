@@ -1,22 +1,15 @@
 package report
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func validCorpus() *CorpusJSON {
 	return &CorpusJSON{
-		Schema:            CorpusSchema,
-		Families:          []string{"shallow/affine/small/unit"},
-		Requested:         2,
-		Kernels:           2,
-		BaseSeed:          1,
-		Machine:           "base",
-		Mechanism:         "bypass",
-		CorpusFingerprint: strings.Repeat("ab", 32),
-		OracleSample:      1,
+		Schema:       CorpusSchema,
+		CorpusHeader: validHeader(2),
+		OracleSample: 1,
 		Profiles: []CorpusClassProfile{{
 			Class:   "shallow/affine/small/unit",
 			Kernels: 2,
@@ -28,8 +21,25 @@ func validCorpus() *CorpusJSON {
 	}
 }
 
+// validHeader is a well-formed corpus header over n kernels.
+func validHeader(n int) CorpusHeader {
+	return CorpusHeader{
+		Families:          []string{"shallow/affine/small/unit"},
+		Requested:         n,
+		Kernels:           n,
+		BaseSeed:          1,
+		Machine:           "base",
+		Mechanism:         "bypass",
+		CorpusFingerprint: strings.Repeat("ab", 32),
+	}
+}
+
+// TestCorpusJSONValidate runs each mutation through Encode, the
+// validate-on-write every artifact passes, so the envelope's schema check
+// and the header's own checks are covered alongside the profile
+// invariants.
 func TestCorpusJSONValidate(t *testing.T) {
-	if err := validCorpus().Validate(); err != nil {
+	if _, err := Encode(validCorpus()); err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
 	cases := []struct {
@@ -75,7 +85,7 @@ func TestCorpusJSONValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := validCorpus()
 			tc.mut(c)
-			err := c.Validate()
+			_, err := Encode(c)
 			if err == nil {
 				t.Fatal("invalid artifact accepted")
 			}
@@ -83,25 +93,5 @@ func TestCorpusJSONValidate(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestCorpusJSONRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.json")
-	c := validCorpus()
-	if err := c.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCorpusJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CorpusFingerprint != c.CorpusFingerprint || got.Kernels != c.Kernels {
-		t.Fatalf("round trip changed the artifact: %+v", got)
-	}
-	bad := validCorpus()
-	bad.Schema = "nope"
-	if err := bad.WriteFile(path); err == nil {
-		t.Fatal("WriteFile accepted an invalid artifact")
 	}
 }

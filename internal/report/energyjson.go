@@ -1,21 +1,16 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // EnergySchema identifies the machine-readable energy-model artifact
 // emitted by `cmd/corpus -energy -out` (committed as ENERGY_smoke.json at
-// the repo root for the smoke-sized corpus). Consumers must reject files
-// whose schema field differs; bump the suffix on any incompatible change.
+// the repo root for the smoke-sized corpus).
 //
 // Like the corpus artifact, every field is deterministic — the energy
 // model is integer picojoules computed from final counters, and the
 // per-combo aggregates are uint64 sums — so regenerating from the same
 // parameters is byte-identical and CI diffs the committed file against a
-// fresh regeneration (`make energy-smoke`).
+// fresh regeneration (`make artifacts`).
 const EnergySchema = "selcache-energy/v1"
 
 // EnergyCombo is one (replacement policy, way memoization) cell of the
@@ -50,47 +45,25 @@ type EnergyCombo struct {
 	TagReadsAvoided uint64 `json:"tag_reads_avoided"`
 }
 
-// EnergyJSON is the energy-model artifact: the corpus it swept (same
-// identity fields as the corpus artifact, so -verify can regenerate it)
-// plus the four (policy, waymemo) combo aggregates.
+// EnergyJSON is the energy-model artifact: the corpus it swept (the
+// header -verify regenerates it from) plus the four (policy, waymemo)
+// combo aggregates.
 type EnergyJSON struct {
-	Schema     string   `json:"schema"`
-	Families   []string `json:"families"`
-	Requested  int      `json:"requested"`
-	Kernels    int      `json:"kernels"`
-	Duplicates int      `json:"duplicates"`
-	BaseSeed   uint64   `json:"base_seed"`
-	Machine    string   `json:"machine"`
-	Mechanism  string   `json:"mechanism"`
-	// CorpusFingerprint is the SHA-256 over the sorted kernel
-	// fingerprints, exactly as in the corpus artifact.
-	CorpusFingerprint string `json:"corpus_fingerprint"`
+	Schema string `json:"schema"`
+	CorpusHeader
 
 	Combos []EnergyCombo `json:"combos"`
 }
 
-// Validate checks the artifact's schema and structural invariants: the
-// canonical combo grid, component/total consistency, and the way-memo
-// axis actually biting (memo-on combos avoid tag reads, memo-off combos
-// report none).
+// SchemaID implements Artifact.
+func (*EnergyJSON) SchemaID() string { return EnergySchema }
+
+// Validate checks the artifact's structural invariants: the canonical
+// combo grid, component/total consistency, and the way-memo axis actually
+// biting (memo-on combos avoid tag reads, memo-off combos report none).
 func (e *EnergyJSON) Validate() error {
-	if e.Schema != EnergySchema {
-		return fmt.Errorf("energyjson: schema %q, want %q", e.Schema, EnergySchema)
-	}
-	if len(e.Families) == 0 {
-		return fmt.Errorf("energyjson: no families")
-	}
-	if e.Kernels < 1 {
-		return fmt.Errorf("energyjson: %d kernels", e.Kernels)
-	}
-	if e.Requested < 1 {
-		return fmt.Errorf("energyjson: requested %d", e.Requested)
-	}
-	if e.Duplicates < 0 {
-		return fmt.Errorf("energyjson: negative duplicates %d", e.Duplicates)
-	}
-	if len(e.CorpusFingerprint) != 64 {
-		return fmt.Errorf("energyjson: corpus fingerprint %q is not a sha256 hex digest", e.CorpusFingerprint)
+	if err := e.CorpusHeader.validate(); err != nil {
+		return err
 	}
 	want := []struct {
 		policy  string
@@ -99,27 +72,27 @@ func (e *EnergyJSON) Validate() error {
 		{"lru", false}, {"lru", true}, {"ehc", false}, {"ehc", true},
 	}
 	if len(e.Combos) != len(want) {
-		return fmt.Errorf("energyjson: %d combos, want %d", len(e.Combos), len(want))
+		return fmt.Errorf("%d combos, want %d", len(e.Combos), len(want))
 	}
 	for i, c := range e.Combos {
 		if c.Policy != want[i].policy || c.WayMemo != want[i].waymemo {
-			return fmt.Errorf("energyjson: combo %d is (%s, waymemo=%v), want (%s, waymemo=%v)",
+			return fmt.Errorf("combo %d is (%s, waymemo=%v), want (%s, waymemo=%v)",
 				i, c.Policy, c.WayMemo, want[i].policy, want[i].waymemo)
 		}
 		sum := c.L1TagPJ + c.L1DataPJ + c.L1FillPJ + c.L2TagPJ + c.L2DataPJ + c.L2FillPJ +
 			c.MemoPJ + c.TLBPJ + c.AuxPJ + c.DRAMPJ
 		if sum != c.TotalPJ {
-			return fmt.Errorf("energyjson: combo %d components sum to %d pJ, total says %d", i, sum, c.TotalPJ)
+			return fmt.Errorf("combo %d components sum to %d pJ, total says %d", i, sum, c.TotalPJ)
 		}
 		if c.TotalPJ == 0 || c.Cycles == 0 {
-			return fmt.Errorf("energyjson: combo %d is empty (total %d pJ, %d cycles)", i, c.TotalPJ, c.Cycles)
+			return fmt.Errorf("combo %d is empty (total %d pJ, %d cycles)", i, c.TotalPJ, c.Cycles)
 		}
 		if c.WayMemo {
 			if c.WayMemoHits == 0 || c.TagReadsAvoided == 0 || c.MemoPJ == 0 {
-				return fmt.Errorf("energyjson: combo %d has way memo on but no memo activity", i)
+				return fmt.Errorf("combo %d has way memo on but no memo activity", i)
 			}
 		} else if c.WayMemoHits != 0 || c.TagReadsAvoided != 0 || c.MemoPJ != 0 {
-			return fmt.Errorf("energyjson: combo %d has way memo off but reports memo activity", i)
+			return fmt.Errorf("combo %d has way memo off but reports memo activity", i)
 		}
 	}
 	// Way memoization is timing-neutral by construction: within a policy,
@@ -127,39 +100,9 @@ func (e *EnergyJSON) Validate() error {
 	for i := 0; i < len(e.Combos); i += 2 {
 		off, on := e.Combos[i], e.Combos[i+1]
 		if off.Cycles != on.Cycles || off.L1Misses != on.L1Misses || off.L2Misses != on.L2Misses {
-			return fmt.Errorf("energyjson: way memo perturbed %s timing (%d/%d cycles, L1 %d/%d, L2 %d/%d)",
+			return fmt.Errorf("way memo perturbed %s timing (%d/%d cycles, L1 %d/%d, L2 %d/%d)",
 				off.Policy, off.Cycles, on.Cycles, off.L1Misses, on.L1Misses, off.L2Misses, on.L2Misses)
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline; regeneration from the same parameters is
-// byte-identical.
-func (e *EnergyJSON) WriteFile(path string) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEnergyJSON reads and validates an energy-model artifact.
-func LoadEnergyJSON(path string) (*EnergyJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var e EnergyJSON
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &e, nil
 }

@@ -1,23 +1,21 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 )
 
 // EstimateSchema identifies the estimator-accuracy artifact emitted by
 // `cmd/corpus -estimate` (committed as ESTIMATE_smoke.json at the repo
 // root for the smoke-sized corpus). It compares the symbolic locality
 // estimator's predictions against the simulator over a synthesized
-// corpus. Consumers must reject files whose schema field differs; bump
-// the suffix on any incompatible change.
+// corpus.
 //
 // Every field is deterministic — estimates are pure functions of the
 // kernel and machine, simulations carry no wall times here — so
-// regenerating from the same corpus parameters is byte-identical and CI
-// can diff the committed file against a fresh regeneration.
+// regenerating from the same corpus parameters is byte-identical and
+// `make artifacts` compares the committed file against a fresh
+// regeneration.
 const EstimateSchema = "selcache-estimate/v1"
 
 // EstimateVersionAccuracy compares the estimator against the simulator
@@ -54,16 +52,7 @@ type EstimateClassAccuracy struct {
 // accuracy against the simulator.
 type EstimateJSON struct {
 	Schema string `json:"schema"`
-	// Corpus identity — the same regeneration parameters the corpus
-	// artifact records, so -verify can resynthesize the exact kernel set.
-	Families          []string `json:"families"`
-	Requested         int      `json:"requested"`
-	Kernels           int      `json:"kernels"`
-	Duplicates        int      `json:"duplicates"`
-	BaseSeed          uint64   `json:"base_seed"`
-	Machine           string   `json:"machine"`
-	Mechanism         string   `json:"mechanism"`
-	CorpusFingerprint string   `json:"corpus_fingerprint"`
+	CorpusHeader
 
 	// Verdict totals over the corpus (base-program estimates).
 	Exact    int `json:"exact"`
@@ -79,34 +68,28 @@ type EstimateJSON struct {
 	Classes []EstimateClassAccuracy   `json:"classes"`
 }
 
-// Validate checks the artifact's schema and structural invariants.
+// SchemaID implements Artifact.
+func (*EstimateJSON) SchemaID() string { return EstimateSchema }
+
+// Validate checks the artifact's structural invariants.
 func (e *EstimateJSON) Validate() error {
-	if e.Schema != EstimateSchema {
-		return fmt.Errorf("estimatejson: schema %q, want %q", e.Schema, EstimateSchema)
-	}
-	if len(e.Families) == 0 {
-		return fmt.Errorf("estimatejson: no families")
-	}
-	if e.Kernels < 1 || e.Requested < 1 || e.Duplicates < 0 {
-		return fmt.Errorf("estimatejson: kernels %d / requested %d / duplicates %d", e.Kernels, e.Requested, e.Duplicates)
-	}
-	if len(e.CorpusFingerprint) != 64 {
-		return fmt.Errorf("estimatejson: corpus fingerprint %q is not a sha256 hex digest", e.CorpusFingerprint)
+	if err := e.CorpusHeader.validate(); err != nil {
+		return err
 	}
 	if e.Exact < 0 || e.Bounded < 0 || e.Declined < 0 || e.Exact+e.Bounded+e.Declined != e.Kernels {
-		return fmt.Errorf("estimatejson: verdicts %d+%d+%d do not sum to %d kernels", e.Exact, e.Bounded, e.Declined, e.Kernels)
+		return fmt.Errorf("verdicts %d+%d+%d do not sum to %d kernels", e.Exact, e.Bounded, e.Declined, e.Kernels)
 	}
 	if e.Declined > 0 && len(e.DeclineReasons) == 0 {
-		return fmt.Errorf("estimatejson: %d declined kernels but no decline reasons", e.Declined)
+		return fmt.Errorf("%d declined kernels but no decline reasons", e.Declined)
 	}
 	if len(e.Overall) == 0 {
-		return fmt.Errorf("estimatejson: no overall accuracy")
+		return fmt.Errorf("no overall accuracy")
 	}
 	if err := validateAccuracies("overall", e.Overall); err != nil {
 		return err
 	}
 	if len(e.Classes) == 0 {
-		return fmt.Errorf("estimatejson: no class accuracies")
+		return fmt.Errorf("no class accuracies")
 	}
 	kernels := 0
 	seen := make(map[string]bool, len(e.Classes))
@@ -114,15 +97,15 @@ func (e *EstimateJSON) Validate() error {
 	for i, c := range e.Classes {
 		switch {
 		case c.Class == "":
-			return fmt.Errorf("estimatejson: class %d has empty name", i)
+			return fmt.Errorf("class %d has empty name", i)
 		case seen[c.Class]:
-			return fmt.Errorf("estimatejson: duplicate class %q", c.Class)
+			return fmt.Errorf("duplicate class %q", c.Class)
 		case c.Class < prev:
-			return fmt.Errorf("estimatejson: classes not sorted (%q after %q)", c.Class, prev)
+			return fmt.Errorf("classes not sorted (%q after %q)", c.Class, prev)
 		case c.Kernels < 1:
-			return fmt.Errorf("estimatejson: class %q has %d kernels", c.Class, c.Kernels)
+			return fmt.Errorf("class %q has %d kernels", c.Class, c.Kernels)
 		case c.Exact+c.Bounded+c.Declined != c.Kernels:
-			return fmt.Errorf("estimatejson: class %q verdicts %d+%d+%d do not sum to %d",
+			return fmt.Errorf("class %q verdicts %d+%d+%d do not sum to %d",
 				c.Class, c.Exact, c.Bounded, c.Declined, c.Kernels)
 		}
 		seen[c.Class] = true
@@ -133,7 +116,7 @@ func (e *EstimateJSON) Validate() error {
 		}
 	}
 	if kernels != e.Kernels {
-		return fmt.Errorf("estimatejson: classes cover %d kernels, header says %d", kernels, e.Kernels)
+		return fmt.Errorf("classes cover %d kernels, header says %d", kernels, e.Kernels)
 	}
 	return nil
 }
@@ -141,51 +124,21 @@ func (e *EstimateJSON) Validate() error {
 func validateAccuracies(where string, vs []EstimateVersionAccuracy) error {
 	for _, v := range vs {
 		if v.Version == "" {
-			return fmt.Errorf("estimatejson: %s has an unnamed version accuracy", where)
+			return fmt.Errorf("%s has an unnamed version accuracy", where)
 		}
 		if v.Kernels < 0 {
-			return fmt.Errorf("estimatejson: %s version %q covers %d kernels", where, v.Version, v.Kernels)
+			return fmt.Errorf("%s version %q covers %d kernels", where, v.Version, v.Kernels)
 		}
 		if v.MeanAbsErrPct < 0 || v.MaxAbsErrPct < 0 {
-			return fmt.Errorf("estimatejson: %s version %q negative error", where, v.Version)
+			return fmt.Errorf("%s version %q negative error", where, v.Version)
 		}
 		// The mean of absolute errors cannot exceed the max, and the
 		// signed bias cannot exceed the mean in magnitude.
 		const eps = 1e-9
 		if v.MeanAbsErrPct > v.MaxAbsErrPct+eps || math.Abs(v.BiasPct) > v.MeanAbsErrPct+eps {
-			return fmt.Errorf("estimatejson: %s version %q inconsistent errors (mean %g, max %g, bias %g)",
+			return fmt.Errorf("%s version %q inconsistent errors (mean %g, max %g, bias %g)",
 				where, v.Version, v.MeanAbsErrPct, v.MaxAbsErrPct, v.BiasPct)
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline, matching the committed-artifact conventions of the
-// corpus profile.
-func (e *EstimateJSON) WriteFile(path string) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEstimateJSON reads and validates an estimator-accuracy artifact.
-func LoadEstimateJSON(path string) (*EstimateJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var e EstimateJSON
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &e, nil
 }

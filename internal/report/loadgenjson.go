@@ -1,15 +1,9 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // LoadgenSchema identifies the machine-readable traffic artifact emitted
 // by cmd/loadgen (committed as BENCH_loadgen.json at the repo root).
-// Consumers must reject files whose schema field differs; bump the suffix
-// on any incompatible change.
 const LoadgenSchema = "selcache-loadgen/v1"
 
 // LoadgenPhase is one traffic phase's outcome: a named slice of the run
@@ -72,107 +66,78 @@ type LoadgenJSON struct {
 	Phases             []LoadgenPhase `json:"phases"`
 }
 
-// Validate checks the artifact's schema and structural invariants,
-// including the acceptance-level ones: served bytes never varied by tier
-// or load, and every shed response carried a Retry-After hint.
+// SchemaID implements Artifact.
+func (*LoadgenJSON) SchemaID() string { return LoadgenSchema }
+
+// Validate checks the artifact's structural invariants, including the
+// acceptance-level ones: served bytes never varied by tier or load, and
+// every shed response carried a Retry-After hint.
 func (l *LoadgenJSON) Validate() error {
-	if l.Schema != LoadgenSchema {
-		return fmt.Errorf("loadgen: schema %q, want %q", l.Schema, LoadgenSchema)
-	}
 	if l.Clients < 1 {
-		return fmt.Errorf("loadgen: clients %d < 1", l.Clients)
+		return fmt.Errorf("clients %d < 1", l.Clients)
 	}
 	if l.Cells < 1 {
-		return fmt.Errorf("loadgen: cells %d < 1", l.Cells)
+		return fmt.Errorf("cells %d < 1", l.Cells)
 	}
 	if l.ZipfS <= 1 {
-		return fmt.Errorf("loadgen: zipf_s %g must exceed 1", l.ZipfS)
+		return fmt.Errorf("zipf_s %g must exceed 1", l.ZipfS)
 	}
 	if len(l.Mix) == 0 {
-		return fmt.Errorf("loadgen: empty class mix")
+		return fmt.Errorf("empty class mix")
 	}
 	var total float64
 	for class, f := range l.Mix {
 		if f < 0 || f > 1 {
-			return fmt.Errorf("loadgen: mix[%s] = %g out of [0,1]", class, f)
+			return fmt.Errorf("mix[%s] = %g out of [0,1]", class, f)
 		}
 		total += f
 	}
 	if total < 0.999 || total > 1.001 {
-		return fmt.Errorf("loadgen: mix fractions sum to %g, want 1", total)
+		return fmt.Errorf("mix fractions sum to %g, want 1", total)
 	}
 	if len(l.PlanDigest) != 64 {
-		return fmt.Errorf("loadgen: plan digest %q is not a sha256 hex string", l.PlanDigest)
+		return fmt.Errorf("plan digest %q is not a sha256 hex string", l.PlanDigest)
 	}
 	if l.BodyHashMismatches != 0 {
-		return fmt.Errorf("loadgen: %d body-hash mismatches — served responses varied across phases", l.BodyHashMismatches)
+		return fmt.Errorf("%d body-hash mismatches — served responses varied across phases", l.BodyHashMismatches)
 	}
 	if len(l.Phases) == 0 {
-		return fmt.Errorf("loadgen: no phases")
+		return fmt.Errorf("no phases")
 	}
 	seen := make(map[string]bool, len(l.Phases))
 	for i, p := range l.Phases {
 		if p.Name == "" {
-			return fmt.Errorf("loadgen: phase %d has empty name", i)
+			return fmt.Errorf("phase %d has empty name", i)
 		}
 		if seen[p.Name] {
-			return fmt.Errorf("loadgen: duplicate phase %q", p.Name)
+			return fmt.Errorf("duplicate phase %q", p.Name)
 		}
 		seen[p.Name] = true
 		if p.Requests == 0 {
-			return fmt.Errorf("loadgen: phase %q completed zero requests", p.Name)
+			return fmt.Errorf("phase %q completed zero requests", p.Name)
 		}
 		if l.PlanOnly {
 			continue // a plan carries schedule counts, no measurements
 		}
 		if p.WallNanos <= 0 {
-			return fmt.Errorf("loadgen: phase %q has non-positive wall time %d", p.Name, p.WallNanos)
+			return fmt.Errorf("phase %q has non-positive wall time %d", p.Name, p.WallNanos)
 		}
 		if p.RequestsPerSecond <= 0 {
-			return fmt.Errorf("loadgen: phase %q has non-positive throughput %g", p.Name, p.RequestsPerSecond)
+			return fmt.Errorf("phase %q has non-positive throughput %g", p.Name, p.RequestsPerSecond)
 		}
 		if p.P50Millis < 0 || p.P99Millis < p.P50Millis {
-			return fmt.Errorf("loadgen: phase %q quantiles p50=%g p99=%g are inconsistent", p.Name, p.P50Millis, p.P99Millis)
+			return fmt.Errorf("phase %q quantiles p50=%g p99=%g are inconsistent", p.Name, p.P50Millis, p.P99Millis)
 		}
 		if p.Shed > 0 && !p.RetryAfterSeen {
-			return fmt.Errorf("loadgen: phase %q shed %d requests but not every 429 carried Retry-After", p.Name, p.Shed)
+			return fmt.Errorf("phase %q shed %d requests but not every 429 carried Retry-After", p.Name, p.Shed)
 		}
 		var byStatus uint64
 		for _, n := range p.ByStatus {
 			byStatus += n
 		}
 		if byStatus != p.Requests {
-			return fmt.Errorf("loadgen: phase %q status counts sum to %d, want %d", p.Name, byStatus, p.Requests)
+			return fmt.Errorf("phase %q status counts sum to %d, want %d", p.Name, byStatus, p.Requests)
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline (diff-friendly for a committed file).
-func (l *LoadgenJSON) WriteFile(path string) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadLoadgenJSON reads and validates a traffic artifact.
-func LoadLoadgenJSON(path string) (*LoadgenJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var l LoadgenJSON
-	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &l, nil
 }
