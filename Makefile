@@ -25,11 +25,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pooled-vs-serial sweep plus the hot-path microbenchmarks, a single
-# iteration each — a smoke test that the benchmarks still build and run,
-# not a measurement.
+# One pooled-vs-serial sweep plus the hot-path and capture
+# microbenchmarks, a single iteration each — a smoke test that the
+# benchmarks still build and run, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ParallelSweep|AccessHotPath' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelSweep|AccessHotPath|TraceRecord' -benchtime=1x .
 
 # The performance benchmark's own unit tests: percentiles, verdicts, span
 # attribution, golden rendering (bench/README.md). bench/ is a separate Go

@@ -229,6 +229,38 @@ func BenchmarkSimulatorEventThroughputScalar(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceRecord measures capture: a fixed-seed synthetic stream of
+// about 1M emitter calls recorded into a trace. The stream is loop-shaped
+// like the interpreter's: each seeded loop opens with a marker, then every
+// iteration loads two arrays, makes two identical Compute calls (one
+// folded run) and stores to a third. ns/event is per recorded call.
+func BenchmarkTraceRecord(b *testing.B) {
+	const events = 1 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := trace.NewRecorder()
+		x := uint64(1)
+		for e := 0; e < events; {
+			x = x*6364136223846793005 + 1442695040888963407
+			base, n, iters := mem.Addr(x>>40)<<3, int(x>>8&7)+1, int(x>>16&255)+16
+			r.Marker(x&1 == 0)
+			for it := 0; it < iters; it++ {
+				a := base + mem.Addr(it*8)
+				r.Access(a, 8, false)
+				r.Access(a+1<<24, 8, false)
+				r.Compute(n)
+				r.Compute(n)
+				r.Access(a+2<<24, 8, true)
+			}
+			e += 1 + 5*iters
+		}
+		recordedTrace = r.Trace()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(recordedTrace.Meta.Events), "ns/event")
+}
+
+var recordedTrace *trace.Trace
+
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	w, _ := selcache.BenchmarkByName("swim")
 	prog := w.Build()

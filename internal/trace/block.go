@@ -36,7 +36,6 @@ type BlockCursor struct {
 // validated stream packs, so ok is always true; it stays in the signature
 // for callers written when some streams did not.
 func (t *Trace) BlockCursor() (c *BlockCursor, ok bool) {
-	t.ensurePacked()
 	return &BlockCursor{words: t.packed}, true
 }
 

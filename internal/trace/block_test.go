@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,8 +185,9 @@ func TestDecodeRejectsUnpackableStream(t *testing.T) {
 }
 
 // TestPackSplitsLongComputeRuns decodes a compute run longer than one word
-// holds: pack splits it into runs of the same size, and the stream keeps
-// its original bytes because the split would not re-encode them.
+// holds: pack splits it into runs of the same size into a slice of exactly
+// that many words, and the stream keeps its original bytes because the
+// split would not re-encode them.
 func TestPackSplitsLongComputeRuns(t *testing.T) {
 	const count = mem.MaxWordCount + 5
 	payload := binary.AppendUvarint([]byte{mem.EvCompute, 3}, count)
@@ -205,85 +207,79 @@ func TestPackSplitsLongComputeRuns(t *testing.T) {
 	if fmt.Sprint(words) != fmt.Sprint(want) {
 		t.Fatalf("packed words %#x, want %#x", words, want)
 	}
-	if tr.payload == nil {
-		t.Fatal("stream with a split run released its wire payload")
+	if cap(tr.packed) != len(want) {
+		t.Fatalf("packed %d words into a slice of capacity %d", len(want), cap(tr.packed))
 	}
-	if !bytes.Equal(tr.Encode(), data) {
+	if tr.raw == nil {
+		t.Fatal("stream with a split run dropped its wire bytes")
+	}
+	if !bytes.Equal(tr.Encode(), data) || tr.EncodedSize() != len(data) {
 		t.Fatal("re-encoding a stream with a split run changed its bytes")
 	}
 }
 
-func TestPayloadReleasedAfterPack(t *testing.T) {
-	tr := recordSample(t)
-	before := tr.payloadLen
-	var buf1 bytes.Buffer
-	if _, err := tr.WriteTo(&buf1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Any replay packs the stream; a recorder-produced payload re-encodes
-	// byte-identically, so the varint form must be dropped.
-	var sink callLog
-	tr.Replay(&sink)
-	if tr.payload != nil {
-		t.Fatal("payload retained after successful pack of a recorded stream")
-	}
-	if tr.payloadLen != before {
-		t.Fatalf("payloadLen changed across release: %d -> %d", before, tr.payloadLen)
-	}
-
-	// Encoding after the release must rebuild the exact original bytes.
-	var buf2 bytes.Buffer
-	if _, err := tr.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatal("WriteTo after payload release differs from WriteTo before")
-	}
-
-	// And the re-decoded stream must replay identically.
-	back, err := ReadFrom(bytes.NewReader(buf2.Bytes()))
+// TestDecodeDropsCanonicalBytes decodes a recorded stream: its payload is
+// exactly what its words rebuild, so the decoded trace holds the
+// recorder's words and no varint bytes, and still encodes byte for byte.
+func TestDecodeDropsCanonicalBytes(t *testing.T) {
+	rec := recordSample(t)
+	enc := rec.Encode()
+	tr, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got callLog
-	emit(&want)
-	back.Replay(&got)
-	if len(got.calls) != len(want.calls) {
-		t.Fatalf("round-tripped replay expanded to %d calls, want %d", len(got.calls), len(want.calls))
+	if tr.raw != nil {
+		t.Fatal("canonical stream kept its wire bytes")
 	}
-	for i := range want.calls {
-		if got.calls[i] != want.calls[i] {
-			t.Fatalf("call %d = %+v, want %+v", i, got.calls[i], want.calls[i])
-		}
+	if !slices.Equal(tr.packed, rec.packed) || cap(tr.packed) != len(tr.packed) {
+		t.Fatalf("decoded words %#x (capacity %d), recorded %#x", tr.packed, cap(tr.packed), rec.packed)
+	}
+	if !bytes.Equal(tr.Encode(), enc) || tr.EncodedSize() != len(enc) {
+		t.Fatal("decoded stream does not re-encode its bytes")
 	}
 }
 
-func TestCursorAfterPayloadRelease(t *testing.T) {
-	tr := recordSample(t)
-	var sink callLog
-	tr.Replay(&sink) // packs and releases the payload
-	if tr.payload != nil {
-		t.Fatal("payload retained after replay")
-	}
-	var want callLog
-	emit(&want)
-	n := 0
-	for c := tr.Cursor(); ; n++ {
-		if _, ok := c.Next(); !ok {
-			break
+// TestDecodeKeepsNonCanonicalBytes decodes streams with one non-minimal
+// varint each: every one packs to the words of the same calls recorded,
+// but those words would re-encode shorter, so the trace keeps its wire
+// bytes and Encode stays exact.
+func TestDecodeKeepsNonCanonicalBytes(t *testing.T) {
+	access := Meta{Events: 1, Accesses: 1, Reads: 1}
+	compute := Meta{Events: 2, ComputeInstr: 6, ComputeCalls: 2}
+	for _, tc := range []struct {
+		name    string
+		meta    Meta
+		payload []byte
+		calls   func(r *Recorder)
+	}{
+		{"access delta", access, []byte{mem.AccessTag(8, false), 0x90, 0x00}, func(r *Recorder) { r.Access(8, 8, false) }},
+		{"compute size", compute, []byte{mem.EvCompute, 0x83, 0x00, 0x02}, func(r *Recorder) { r.Compute(3); r.Compute(3) }},
+		{"compute count", compute, []byte{mem.EvCompute, 0x03, 0x82, 0x00}, func(r *Recorder) { r.Compute(3); r.Compute(3) }},
+	} {
+		data := encodeRaw(tc.meta, tc.payload)
+		tr, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if n != len(want.calls) {
-		t.Fatalf("cursor iterated %d events after release, want %d", n, len(want.calls))
+		r := NewRecorder()
+		tc.calls(r)
+		rec := r.Trace()
+		if !slices.Equal(tr.packed, rec.packed) {
+			t.Fatalf("%s: decoded words %#x, recorded %#x", tc.name, tr.packed, rec.packed)
+		}
+		if tr.raw == nil {
+			t.Fatalf("%s: non-canonical stream dropped its wire bytes", tc.name)
+		}
+		if !bytes.Equal(tr.Encode(), data) || tr.EncodedSize() != len(data) {
+			t.Fatalf("%s: re-encoding a non-canonical stream changed its bytes", tc.name)
+		}
 	}
 }
 
 // TestConcurrentReplaysShareWords replays one trace from several
 // goroutines at once — batched, scalar, by cursor and by encoding — the
 // way sweep workers and selcached share a cached stream. Run under -race:
-// the first use packs the stream inside a sync.Once and every reader after
-// it only reads the shared words.
+// the words are final at construction, and every reader only reads them.
 func TestConcurrentReplaysShareWords(t *testing.T) {
 	tr := recordSample(t)
 	var want callLog

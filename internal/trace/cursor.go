@@ -72,14 +72,13 @@ type Cursor struct {
 }
 
 // Cursor returns an iterator positioned before the first event. It walks
-// the packed words, so it never re-encodes the payload.
+// the packed words.
 func (t *Trace) Cursor() *Cursor {
-	t.ensurePacked()
 	return &Cursor{words: t.packed}
 }
 
 // Next returns the next emitter call. ok is false at the end of the
-// stream. The payload was validated at construction, so iteration cannot
+// stream. The words were validated at construction, so iteration cannot
 // fail.
 func (c *Cursor) Next() (ev Event, ok bool) {
 	if c.runLeft > 0 {

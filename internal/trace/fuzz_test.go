@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 //
 //   - Treating the input as an encoded stream, Decode must reject corrupt
 //     or truncated bytes with an error — never a panic — and anything it
-//     accepts must re-encode stably.
+//     accepts must pack into exactly as many words as it holds and
+//     re-encode its payload byte for byte.
 //   - Treating the input as an event script, a recorded stream must decode
-//     and replay call-for-call losslessly. A script that reaches an address
-//     the packed form cannot hold (at or above 2^56) must instead make the
-//     Recorder panic by name, and Decode must reject the same calls
-//     hand-encoded.
+//     to the recorder's own words and replay call-for-call losslessly. A
+//     script that reaches an address the packed form cannot hold (at or
+//     above 2^56) must instead make the Recorder panic by name, and Decode
+//     must reject the same calls hand-encoded.
 //
 // Run continuously with `go test ./internal/trace -fuzz FuzzTraceRoundTrip`.
 func FuzzTraceRoundTrip(f *testing.F) {
@@ -31,7 +33,13 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{0x03 | 0x38<<2, 1}) // script: one access at 2^56
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := Decode(data); err == nil {
+			if cap(tr.packed) != len(tr.packed) {
+				t.Fatalf("packed %d words into a slice of capacity %d", len(tr.packed), cap(tr.packed))
+			}
 			enc := tr.Encode()
+			if !bytes.Equal(enc[len(enc)-tr.payloadLen:], data[len(data)-tr.payloadLen:]) {
+				t.Fatal("re-encoding an accepted stream changed its payload")
+			}
 			tr2, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("re-decoding an accepted stream failed: %v", err)
@@ -57,9 +65,13 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		rec := NewRecorder()
 		runScript(data, rec)
-		dec, err := Decode(rec.Trace().Encode())
+		recorded := rec.Trace()
+		dec, err := Decode(recorded.Encode())
 		if err != nil {
 			t.Fatalf("round trip rejected a freshly recorded stream: %v", err)
+		}
+		if !slices.Equal(dec.packed, recorded.packed) || dec.raw != nil {
+			t.Fatalf("decoded words %#x (raw bytes kept: %v), recorded %#x", dec.packed, dec.raw != nil, recorded.packed)
 		}
 		var got callLog
 		dec.Replay(&got)

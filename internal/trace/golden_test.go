@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"selcache/internal/core"
@@ -21,12 +22,12 @@ var update = flag.Bool("update", false, "rewrite the golden .sctrace files under
 var goldenVersions = []core.Version{core.Base, core.PureSoftware, core.Selective}
 
 // TestGoldenTraces re-records the tiny workload variants and compares each
-// stream against its committed .sctrace capture. A failure means the event
-// stream some (workload, stream-class) pair emits has changed — either an
-// intended compiler/workload/region change (regenerate the goldens with
-// `go test ./internal/trace -run TestGoldenTraces -update` and review the
-// stats shift) or an accidental one (fix it). The diff pinpoints the first
-// diverging emitter call.
+// stream's encoding byte for byte against its committed .sctrace capture.
+// A failure means the event stream some (workload, stream-class) pair
+// emits has changed — either an intended compiler/workload/region change
+// (regenerate the goldens with `go test ./internal/trace -run
+// TestGoldenTraces -update` and review the stats shift) or an accidental
+// one (fix it). The diff pinpoints the first diverging emitter call.
 func TestGoldenTraces(t *testing.T) {
 	for _, w := range workloads.TinyGolden() {
 		for _, v := range goldenVersions {
@@ -44,11 +45,25 @@ func TestGoldenTraces(t *testing.T) {
 					t.Logf("rewrote %s: %d events, %d bytes", path, got.Meta.Events, got.EncodedSize())
 					return
 				}
-				want, err := trace.ReadFile(path)
+				var want *trace.Trace
+				data, err := os.ReadFile(path)
+				if err == nil {
+					want, err = trace.Decode(data)
+				}
 				if err != nil {
 					t.Fatalf("reading golden: %v\n(regenerate with: go test ./internal/trace -run TestGoldenTraces -update)", err)
 				}
-				if bytes.Equal(got.Encode(), want.Encode()) {
+				enc := got.Encode()
+				if bytes.Equal(enc, data) {
+					// The recorder's words are final: they must be the
+					// words its own encoding packs to, and its size is
+					// counted as it records.
+					if !slices.Equal(words(got), words(want)) {
+						t.Fatal("recorded words differ from the words their encoding decodes to")
+					}
+					if got.EncodedSize() != len(enc) {
+						t.Fatalf("EncodedSize %d, encoding holds %d bytes", got.EncodedSize(), len(enc))
+					}
 					return
 				}
 				if idx, ew, eg, diverged := trace.FirstDivergence(want, got); diverged {
@@ -61,6 +76,17 @@ func TestGoldenTraces(t *testing.T) {
 			})
 		}
 	}
+}
+
+// words collects a trace's packed words through its block cursor.
+func words(t *trace.Trace) []uint64 {
+	var out []uint64
+	cur, _ := t.BlockCursor()
+	blk := trace.NewBlock(trace.DefaultBlockEvents)
+	for cur.Next(blk) {
+		out = append(out, blk.Words()...)
+	}
+	return out
 }
 
 // TestGoldenReplayEquivalence replays each golden through the full machine

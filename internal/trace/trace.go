@@ -10,11 +10,19 @@
 // replayed against every machine variant, which is how the experiment
 // sweeps avoid re-interpreting the same program dozens of times.
 //
+// In memory a Trace is mem's packed event words, one uint64 per event: the
+// Recorder appends them as the program runs, and Replay, Cursor and
+// BlockCursor walk them without decoding. The varint wire form below
+// exists only at the file boundary: Encode/WriteTo build it from the
+// words, and Decode/ReadFrom validate it and pack it before returning.
+//
 // Replay fidelity is call-exact, not merely total-exact: the simulated
 // machine accumulates cycles in floating point, so folding two Compute
 // calls into one with the summed count could change rounding. Run-length
 // encoding therefore compresses *repeated identical* Compute calls and
-// Replay re-issues each call of the run individually.
+// Replay re-issues each call of the run individually. The Recorder caps a
+// run at mem.MaxWordCount calls, so each run is one word and one wire
+// event.
 //
 // # The .sctrace format
 //
@@ -49,7 +57,8 @@
 //	       below 2^56.
 //
 // The bounds on n and addresses are those of the in-memory packed form
-// (mem.MaxWordAddr, mem.MaxWordN), so every stream Decode accepts packs. Decode validates
+// (mem.MaxWordAddr, mem.MaxWordN), so every stream Decode accepts packs; a
+// longer run than mem.MaxWordCount packs as several words. Decode validates
 // the whole payload against the header counters, so a *Trace held in
 // memory is always well-formed: Replay and Cursor operate on validated data
 // and do not return errors. Truncated or corrupt inputs are
@@ -66,7 +75,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
 
 	"selcache/internal/mem"
 )
@@ -105,65 +113,74 @@ type Trace struct {
 	// Meta holds the header counters.
 	Meta Meta
 
-	// payload holds the varint wire form. Once the packed form is built
-	// (and representable), the wire form is redundant — the packing is
-	// lossless and re-encodable byte-for-byte — so ensurePacked releases
-	// it to halve the resident cost of a trace cache full of replayed
-	// streams. All payload readers must go through wire(), which runs
-	// ensurePacked first: the release happens inside the sync.Once, so
-	// every subsequent read is ordered after it.
-	payload    []byte
-	payloadLen int
+	// packed holds mem's event words, one per wire event, final at
+	// construction: replays on any goroutine read them, none writes them.
+	packed []uint64
 
-	// Packed replay form (mem's event words), built lazily on first use.
-	// The experiment sweeps replay each cached stream once per machine
-	// configuration, so the varint decode is paid once here and every
-	// replay afterwards hands out windows of these words. Guarded by
-	// packOnce: traces are shared across sweep workers, and the words are
-	// never written after pack.
-	packOnce sync.Once
-	packed   []uint64
+	// raw keeps a decoded payload only when rebuildWire would not
+	// reproduce it (non-minimal varints, or a run split across words), so
+	// WriteTo stays byte-exact. payloadLen is the wire payload's length.
+	raw        []byte
+	payloadLen int
 }
 
 // EncodedSize returns the total encoded size in bytes (header + payload).
 func (t *Trace) EncodedSize() int {
-	return len(magic) + uvarintLen(t.Meta.Events) + uvarintLen(t.Meta.Accesses) +
-		uvarintLen(t.Meta.Reads) + uvarintLen(t.Meta.ComputeInstr) +
-		uvarintLen(t.Meta.ComputeCalls) + uvarintLen(t.Meta.Markers) +
-		uvarintLen(t.Meta.OnMarkers) + uvarintLen(uint64(t.payloadLen)) +
-		t.payloadLen
+	return len(t.header()) + t.payloadLen
+}
+
+// header returns the encoded header: the magic, the counters and the
+// payload length.
+func (t *Trace) header() []byte {
+	hdr := []byte(magic)
+	for _, v := range []uint64{t.Meta.Events, t.Meta.Accesses, t.Meta.Reads, t.Meta.ComputeInstr,
+		t.Meta.ComputeCalls, t.Meta.Markers, t.Meta.OnMarkers, uint64(t.payloadLen)} {
+		hdr = binary.AppendUvarint(hdr, v)
+	}
+	return hdr
 }
 
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// Recorder captures an event stream. It implements mem.Emitter; feed it a
-// program run (loopir.Run) and call Trace for the finished capture. The
-// zero value is not ready; use NewRecorder.
+// varintLen is the length of binary.AppendVarint's zigzag encoding of v.
+func varintLen(v int64) int {
+	return uvarintLen(uint64(v<<1) ^ uint64(v>>63))
+}
+
+// Recorder chunk capacities, in words. The first is small because selcached
+// records thousands of streams of a few thousand events; chunks then double,
+// so a long capture never moves what it has recorded until Trace's copy.
+const firstChunk, maxChunk = 1 << 10, 1 << 16
+
+// Recorder captures an event stream straight into packed words. It
+// implements mem.Emitter; feed it a program run (loopir.Run) and call Trace
+// for the finished capture. The zero value is not ready; use NewRecorder.
 type Recorder struct {
-	buf      []byte
+	full  [][]uint64 // filled chunks, in order
+	cur   []uint64   // chunk being filled, never grown past its capacity; holds the last word
+	words int        // words in full
+
 	prevAddr mem.Addr
 	meta     Meta
-
-	// Pending run of identical Compute calls (run-length folding).
-	pendingN     int
-	pendingCount uint64
+	wireLen  int // wire payload bytes the words encode to
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{buf: make([]byte, 0, 1<<16)}
+	return &Recorder{cur: make([]uint64, 0, firstChunk)}
 }
 
-func (r *Recorder) flushCompute() {
-	if r.pendingCount == 0 {
-		return
+// put appends one event word, starting a new chunk first when the current
+// one is full, so the last word is always in cur.
+func (r *Recorder) put(w uint64) {
+	if len(r.cur) == cap(r.cur) {
+		r.full = append(r.full, r.cur)
+		r.words += len(r.cur)
+		r.cur = make([]uint64, 0, min(2*cap(r.cur), maxChunk))
 	}
-	r.buf = append(r.buf, mem.EvCompute)
-	r.buf = binary.AppendUvarint(r.buf, uint64(r.pendingN))
-	r.buf = binary.AppendUvarint(r.buf, r.pendingCount)
-	r.pendingCount = 0
+	r.cur = append(r.cur, w)
 }
 
 // Access implements mem.Emitter. It panics on a size other than 1, 2, 4 or
@@ -176,15 +193,13 @@ func (r *Recorder) Access(addr mem.Addr, size uint8, write bool) {
 	if addr > mem.MaxWordAddr {
 		panic(fmt.Sprintf("trace: access address %#x does not fit 56 bits", uint64(addr)))
 	}
-	r.flushCompute()
 	if write {
 		r.meta.Writes++
 	} else {
 		r.meta.Reads++
 	}
-	r.buf = append(r.buf, mem.AccessTag(size, write))
-	delta := int64(addr) - int64(r.prevAddr) // wrapping on purpose
-	r.buf = binary.AppendVarint(r.buf, delta)
+	r.put(mem.AccessWord(addr, mem.AccessTag(size, write)))
+	r.wireLen += 1 + varintLen(int64(addr)-int64(r.prevAddr)) // wrapping on purpose
 	r.prevAddr = addr
 	r.meta.Accesses++
 	r.meta.Events++
@@ -193,7 +208,8 @@ func (r *Recorder) Access(addr mem.Addr, size uint8, write bool) {
 // Compute implements mem.Emitter. Calls with n <= 0 are dropped: they are
 // no-ops against every downstream emitter, and the format requires n > 0.
 // It panics on n above mem.MaxWordN, which the packed form could not
-// replay.
+// replay. A call identical to the previous one extends that call's run
+// word in place, up to mem.MaxWordCount calls.
 func (r *Recorder) Compute(n int) {
 	if n <= 0 {
 		return
@@ -201,22 +217,24 @@ func (r *Recorder) Compute(n int) {
 	if n > mem.MaxWordN {
 		panic(fmt.Sprintf("trace: compute size %d does not fit 24 bits", n))
 	}
-	if r.pendingCount > 0 && r.pendingN == n {
-		r.pendingCount++
-	} else {
-		r.flushCompute()
-		r.pendingN = n
-		r.pendingCount = 1
-	}
 	r.meta.ComputeInstr += uint64(n)
 	r.meta.ComputeCalls++
 	r.meta.Events++
+	if last := len(r.cur) - 1; last >= 0 && mem.WordKind(r.cur[last]) == mem.EvCompute {
+		if cn, count := mem.WordCompute(r.cur[last]); cn == n && count < mem.MaxWordCount {
+			r.cur[last] = mem.ComputeWord(uint64(n), count+1)
+			r.wireLen += uvarintLen(count+1) - uvarintLen(count)
+			return
+		}
+	}
+	r.put(mem.ComputeWord(uint64(n), 1))
+	r.wireLen += 2 + uvarintLen(uint64(n))
 }
 
 // Marker implements mem.Emitter.
 func (r *Recorder) Marker(on bool) {
-	r.flushCompute()
-	r.buf = append(r.buf, byte(mem.MarkerWord(on)))
+	r.put(mem.MarkerWord(on))
+	r.wireLen++
 	if on {
 		r.meta.OnMarkers++
 	}
@@ -224,29 +242,28 @@ func (r *Recorder) Marker(on bool) {
 	r.meta.Events++
 }
 
-// Trace finalizes the capture. The recorder may keep recording afterwards;
-// a later Trace call returns the longer stream.
+// Trace returns the capture so far as an independent copy of its words.
+// The recorder may keep recording afterwards; a later Trace call returns
+// the longer stream.
 func (r *Recorder) Trace() *Trace {
-	r.flushCompute()
-	payload := make([]byte, len(r.buf))
-	copy(payload, r.buf)
-	return &Trace{Meta: r.meta, payload: payload, payloadLen: len(payload)}
+	words := make([]uint64, 0, r.words+len(r.cur))
+	for _, c := range r.full {
+		words = append(words, c...)
+	}
+	words = append(words, r.cur...)
+	return &Trace{Meta: r.meta, packed: words, payloadLen: r.wireLen}
 }
 
-// pack resolves the payload into mem's packed event words: one word per
-// encoded event, varints resolved and access deltas turned into absolute
-// addresses, the wire tag as the word's low byte. validate has bounded
-// every address and compute size, so only a compute run longer than
-// mem.MaxWordCount needs more than one word; it is split into several runs
-// of the same size, which replay as the same calls.
-func (t *Trace) pack() []uint64 {
-	// Upper bound on the words: folding makes encoded Compute entries
-	// fewer than ComputeCalls, and every entry takes at least one payload
-	// byte (only a split run of 2^32 calls or more yields extra words).
-	// The header is untrusted, so the payload length caps it.
-	words := make([]uint64, 0, min(t.Meta.Accesses+t.Meta.Markers+t.Meta.ComputeCalls, uint64(len(t.payload))))
+// pack resolves a validated payload p into the words event words validate
+// counted, access deltas turned into absolute addresses and the wire tag as
+// each word's low byte. A compute run longer than mem.MaxWordCount is split
+// into runs of the same size, which replay as the same calls. canonical
+// reports whether rebuildWire reproduces p: no split run, only minimal
+// varints.
+func pack(p []byte, words int) (packed []uint64, canonical bool) {
+	packed = make([]uint64, 0, words)
+	canonical = true
 	var prev mem.Addr
-	p := t.payload
 	for len(p) > 0 {
 		tag := p[0]
 		p = p[1:]
@@ -254,55 +271,29 @@ func (t *Trace) pack() []uint64 {
 		case mem.EvAccess:
 			delta, n := binary.Varint(p)
 			p = p[n:]
+			canonical = canonical && n == varintLen(delta)
 			prev = mem.Addr(int64(prev) + delta)
-			words = append(words, mem.AccessWord(prev, tag))
+			packed = append(packed, mem.AccessWord(prev, tag))
 		case mem.EvCompute:
-			cn, n := binary.Uvarint(p)
-			p = p[n:]
-			count, n := binary.Uvarint(p)
-			p = p[n:]
+			cn, n1 := binary.Uvarint(p)
+			count, n2 := binary.Uvarint(p[n1:])
+			p = p[n1+n2:]
+			canonical = canonical && n1 == uvarintLen(cn) && n2 == uvarintLen(count) && count <= mem.MaxWordCount
 			for ; count > mem.MaxWordCount; count -= mem.MaxWordCount {
-				words = append(words, mem.ComputeWord(cn, mem.MaxWordCount))
+				packed = append(packed, mem.ComputeWord(cn, mem.MaxWordCount))
 			}
-			words = append(words, mem.ComputeWord(cn, count))
+			packed = append(packed, mem.ComputeWord(cn, count))
 		default:
-			words = append(words, uint64(tag))
+			packed = append(packed, uint64(tag))
 		}
 	}
-	return words
+	return packed, canonical
 }
 
-// ensurePacked builds the packed replay form once. When the packed form
-// re-encodes the payload byte-for-byte (always true for recorder-produced
-// streams, whose varints are minimal), the varint payload is released —
-// keeping both would double a replayed stream's resident size. Decoded
-// streams with non-minimal varints or split compute runs keep their
-// original bytes so WriteTo/Encode stay exact. The release happens inside
-// the Once, so every payload reader that calls ensurePacked first observes
-// it safely.
-func (t *Trace) ensurePacked() {
-	t.packOnce.Do(func() {
-		t.packed = t.pack()
-		if bytes.Equal(t.rebuildWire(), t.payload) {
-			t.payload = nil
-		}
-	})
-}
-
-// wire returns the varint wire form of the payload, rebuilding it from the
-// packed form when the original was released. Cold path: only encoding
-// (WriteTo) reads it.
-func (t *Trace) wire() []byte {
-	t.ensurePacked()
-	if t.payload == nil {
-		return t.rebuildWire()
-	}
-	return t.payload
-}
-
-// rebuildWire re-encodes the packed words into the exact payload bytes the
-// recorder produced: packing is 1:1 per encoded event, delta encoding is
-// deterministic, and both encoders emit minimal varints.
+// rebuildWire encodes the packed words as the canonical wire payload: one
+// event per word, deltas against the previous access, minimal varints.
+// That is a recorded stream's payload, and a decoded one's when pack found
+// it canonical.
 func (t *Trace) rebuildWire() []byte {
 	buf := make([]byte, 0, t.payloadLen)
 	var prev mem.Addr
@@ -356,8 +347,10 @@ func corruptf(off int, format string, args ...any) error {
 }
 
 // validate walks the payload once, checking structure and cross-checking
-// the header counters.
-func validate(meta Meta, payload []byte) error {
+// the header counters. It returns the number of words pack produces: one
+// per wire event, plus one for every mem.MaxWordCount calls a run holds
+// beyond its first.
+func validate(meta Meta, payload []byte) (words int, err error) {
 	var got Meta
 	var prev mem.Addr
 	off := 0
@@ -368,16 +361,16 @@ func validate(meta Meta, payload []byte) error {
 		switch tag & 0x03 {
 		case mem.EvAccess:
 			if tag&accReserved != 0 {
-				return corruptf(start, "access tag 0x%02x has reserved bits set", tag)
+				return 0, corruptf(start, "access tag 0x%02x has reserved bits set", tag)
 			}
 			delta, n := binary.Varint(payload[off:])
 			if n <= 0 {
-				return corruptf(start, "truncated or overlong access delta")
+				return 0, corruptf(start, "truncated or overlong access delta")
 			}
 			off += n
 			prev = mem.Addr(int64(prev) + delta)
 			if prev > mem.MaxWordAddr {
-				return corruptf(start, "access address %#x does not fit 56 bits", uint64(prev))
+				return 0, corruptf(start, "access address %#x does not fit 56 bits", uint64(prev))
 			}
 			got.Accesses++
 			if mem.WordWrite(uint64(tag)) {
@@ -388,33 +381,34 @@ func validate(meta Meta, payload []byte) error {
 			got.Events++
 		case mem.EvCompute:
 			if tag != mem.EvCompute {
-				return corruptf(start, "compute tag 0x%02x has reserved bits set", tag)
+				return 0, corruptf(start, "compute tag 0x%02x has reserved bits set", tag)
 			}
 			cn, n := binary.Uvarint(payload[off:])
 			if n <= 0 {
-				return corruptf(start, "truncated or overlong compute size")
+				return 0, corruptf(start, "truncated or overlong compute size")
 			}
 			off += n
 			count, n := binary.Uvarint(payload[off:])
 			if n <= 0 {
-				return corruptf(start, "truncated or overlong compute count")
+				return 0, corruptf(start, "truncated or overlong compute count")
 			}
 			off += n
 			if cn == 0 || count == 0 {
-				return corruptf(start, "compute with zero size or count")
+				return 0, corruptf(start, "compute with zero size or count")
 			}
 			if cn > mem.MaxWordN {
-				return corruptf(start, "compute size %d does not fit 24 bits", cn)
+				return 0, corruptf(start, "compute size %d does not fit 24 bits", cn)
 			}
 			if count > uint64(1)<<62/cn {
-				return corruptf(start, "compute run %d x %d overflows", cn, count)
+				return 0, corruptf(start, "compute run %d x %d overflows", cn, count)
 			}
+			words += int((count-1)/mem.MaxWordCount) + 1
 			got.ComputeInstr += cn * count
 			got.ComputeCalls += count
 			got.Events += count
 		case mem.EvMarkerOn, mem.EvMarkerOff:
 			if tag&^0x03 != 0 {
-				return corruptf(start, "marker tag 0x%02x has reserved bits set", tag)
+				return 0, corruptf(start, "marker tag 0x%02x has reserved bits set", tag)
 			}
 			got.Markers++
 			if tag == mem.EvMarkerOn {
@@ -424,25 +418,18 @@ func validate(meta Meta, payload []byte) error {
 		}
 	}
 	if got != meta {
-		return fmt.Errorf("trace: header/payload mismatch: header %+v, payload holds %+v", meta, got)
+		return 0, fmt.Errorf("trace: header/payload mismatch: header %+v, payload holds %+v", meta, got)
 	}
-	return nil
+	return words + int(got.Accesses+got.Markers), nil
 }
 
 // WriteTo implements io.WriterTo, emitting the encoded trace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	payload := t.wire()
-	hdr := make([]byte, 0, len(magic)+10*8)
-	hdr = append(hdr, magic...)
-	hdr = binary.AppendUvarint(hdr, t.Meta.Events)
-	hdr = binary.AppendUvarint(hdr, t.Meta.Accesses)
-	hdr = binary.AppendUvarint(hdr, t.Meta.Reads)
-	hdr = binary.AppendUvarint(hdr, t.Meta.ComputeInstr)
-	hdr = binary.AppendUvarint(hdr, t.Meta.ComputeCalls)
-	hdr = binary.AppendUvarint(hdr, t.Meta.Markers)
-	hdr = binary.AppendUvarint(hdr, t.Meta.OnMarkers)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	n1, err := w.Write(hdr)
+	payload := t.raw
+	if payload == nil {
+		payload = t.rebuildWire()
+	}
+	n1, err := w.Write(t.header())
 	if err != nil {
 		return int64(n1), err
 	}
@@ -450,7 +437,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return int64(n1) + int64(n2), err
 }
 
-// ReadFrom decodes and validates a trace from r.
+// ReadFrom decodes, validates and packs a trace from r.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var mg [len(magic)]byte
@@ -501,13 +488,19 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		}
 		return nil, err
 	}
-	if err := validate(meta, payload); err != nil {
+	words, err := validate(meta, payload)
+	if err != nil {
 		return nil, err
 	}
-	return &Trace{Meta: meta, payload: payload, payloadLen: len(payload)}, nil
+	t := &Trace{Meta: meta, payloadLen: len(payload)}
+	var canonical bool
+	if t.packed, canonical = pack(payload, words); !canonical {
+		t.raw = payload
+	}
+	return t, nil
 }
 
-// Decode decodes and validates an in-memory encoded trace.
+// Decode decodes, validates and packs an in-memory encoded trace.
 func Decode(data []byte) (*Trace, error) {
 	return ReadFrom(bytes.NewReader(data))
 }

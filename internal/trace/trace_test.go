@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,9 +158,11 @@ func TestComputeRunFolding(t *testing.T) {
 		r.Compute(4)
 	}
 	tr := r.Trace()
-	// One tag byte + uvarint(4) + uvarint(1000): the run must fold.
-	if len(tr.payload) > 4 {
-		t.Fatalf("1000-call run encoded to %d bytes, want <= 4", len(tr.payload))
+	// One word, and one tag byte + uvarint(4) + uvarint(1000) on the wire:
+	// the run must fold, and its count's growth to a two-byte varint must
+	// be counted.
+	if len(tr.packed) != 1 || tr.payloadLen != 4 || tr.EncodedSize() != len(tr.Encode()) {
+		t.Fatalf("1000-call run recorded as %d words, %d payload bytes; want 1 word, 4 bytes", len(tr.packed), tr.payloadLen)
 	}
 	var l callLog
 	if calls := l.replayOf(tr); len(calls) != 1000 {
@@ -172,7 +175,7 @@ func TestComputeZeroDropped(t *testing.T) {
 	r.Compute(0)
 	r.Compute(-3)
 	tr := r.Trace()
-	if tr.Meta.Events != 0 || len(tr.payload) != 0 {
+	if tr.Meta.Events != 0 || len(tr.packed) != 0 || tr.payloadLen != 0 {
 		t.Fatalf("non-positive Compute calls recorded: %+v", tr.Meta)
 	}
 }
@@ -186,9 +189,111 @@ func TestRecorderKeepsRecordingAfterTrace(t *testing.T) {
 	if t1.Meta.Events != 1 || t2.Meta.Events != 2 {
 		t.Fatalf("snapshots hold %d and %d events, want 1 and 2", t1.Meta.Events, t2.Meta.Events)
 	}
-	var l callLog
-	if calls := l.replayOf(t2); len(calls) != 2 {
+	// The second call extends the run word the first snapshot copied;
+	// the snapshot must keep its own.
+	var l1, l2 callLog
+	if calls := l1.replayOf(t1); len(calls) != 1 {
+		t.Fatalf("first snapshot replays %d calls, want 1", len(calls))
+	}
+	if calls := l2.replayOf(t2); len(calls) != 2 {
 		t.Fatalf("second snapshot replays %d calls, want 2", len(calls))
+	}
+}
+
+// TestRecorderChunkBoundaries records a long mixed stream, long enough to
+// fill chunks of every size the recorder uses, with compute runs ending on
+// both sides of chunk edges and a Trace call midway. Each snapshot must
+// match packing its own encoding: the same words, no varint bytes kept,
+// and an exact EncodedSize. The midway snapshot must not change as the
+// recorder goes on, and must not change the final stream either.
+func TestRecorderChunkBoundaries(t *testing.T) {
+	var midEnc []byte // the midway snapshot's encoding when it was taken
+	record := func(midAt uint64) (mid, final *Trace) {
+		r := NewRecorder()
+		x := uint64(1)
+		for r.words+len(r.cur) < 3*maxChunk {
+			x = x*6364136223846793005 + 1442695040888963407
+			switch op := x >> 60; {
+			case op < 8:
+				r.Access(mem.Addr(x>>20&0xFFFFFF8), 1<<(x>>16&3), x&(1<<10) != 0)
+			case op < 14:
+				for k := x >> 30 & 7; k > 0; k-- {
+					r.Compute(int(x>>40&1) + 1)
+				}
+			default:
+				r.Marker(x&1 == 0)
+			}
+			if mid == nil && midAt > 0 && r.meta.Events >= midAt {
+				mid = r.Trace()
+				midEnc = mid.Encode()
+			}
+		}
+		return mid, r.Trace()
+	}
+	mid, final := record(50_000)
+	if final.Meta.Events < 300_000 {
+		t.Fatalf("stream holds %d events, want over 300k", final.Meta.Events)
+	}
+	// Word offsets at which one chunk ends and the next begins.
+	runsAtEdges := 0
+	for size, edge := firstChunk, firstChunk; edge < len(final.packed); size, edge = min(2*size, maxChunk), edge+min(2*size, maxChunk) {
+		for _, w := range final.packed[edge-1 : edge+1] {
+			if _, count := mem.WordCompute(w); mem.WordKind(w) == mem.EvCompute && count > 1 {
+				runsAtEdges++
+			}
+		}
+	}
+	if runsAtEdges == 0 {
+		t.Fatal("no compute run ended next to a chunk edge")
+	}
+	for name, tr := range map[string]*Trace{"midway": mid, "final": final} {
+		enc := tr.Encode()
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(dec.packed, tr.packed) || dec.raw != nil {
+			t.Fatalf("%s: recorded words differ from packing their own encoding", name)
+		}
+		if tr.EncodedSize() != len(enc) {
+			t.Fatalf("%s: EncodedSize %d, encoding holds %d bytes", name, tr.EncodedSize(), len(enc))
+		}
+	}
+	if !bytes.Equal(mid.Encode(), midEnc) {
+		t.Fatal("midway snapshot changed as recording went on")
+	}
+	if _, alone := record(0); !bytes.Equal(final.Encode(), alone.Encode()) {
+		t.Fatal("a midway Trace call changed the final stream")
+	}
+}
+
+// TestRecorderCapsComputeRuns checks that the recorder ends a run at
+// mem.MaxWordCount calls, so a run is always one word and one wire event.
+// Making 2^32 calls takes too long for a unit test, so the run word and
+// the counters are set two calls short of the cap.
+func TestRecorderCapsComputeRuns(t *testing.T) {
+	r := NewRecorder()
+	r.Compute(3)
+	const preset = mem.MaxWordCount - 2
+	r.cur[0] = mem.ComputeWord(3, preset+1)
+	r.wireLen += uvarintLen(preset+1) - uvarintLen(1)
+	r.meta.ComputeCalls += preset
+	r.meta.ComputeInstr += 3 * preset
+	r.meta.Events += preset
+	r.Compute(3) // the run's last call
+	r.Compute(3) // the next run's first
+	tr := r.Trace()
+	want := []uint64{mem.ComputeWord(3, mem.MaxWordCount), mem.ComputeWord(3, 1)}
+	if !slices.Equal(tr.packed, want) {
+		t.Fatalf("recorded words %#x, want %#x", tr.packed, want)
+	}
+	enc := tr.Encode()
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dec.packed, want) || dec.raw != nil || tr.EncodedSize() != len(enc) {
+		t.Fatalf("capped run decoded to %#x (raw bytes kept: %v), EncodedSize %d of %d", dec.packed, dec.raw != nil, tr.EncodedSize(), len(enc))
 	}
 }
 
@@ -237,7 +342,7 @@ func TestDecodeErrors(t *testing.T) {
 	// when it stays a valid varint of the same length — the sample's
 	// payload starts with a marker tag, so corrupt its reserved bits).
 	bad := append([]byte{}, good...)
-	bad[len(bad)-len(recordSample(t).payload)] |= 0xF0
+	bad[len(bad)-recordSample(t).payloadLen] |= 0xF0
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("Decode accepted a payload with reserved tag bits set")
 	}
@@ -245,10 +350,10 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDecodeHeaderMismatch(t *testing.T) {
 	tr := recordSample(t)
-	tampered := &Trace{Meta: tr.Meta, payload: tr.payload}
-	tampered.Meta.Reads++
-	tampered.Meta.Writes-- // keep Reads <= Accesses plausible
-	_, err := Decode(tampered.Encode())
+	enc := tr.Encode()
+	meta := tr.Meta
+	meta.Reads++ // still <= Accesses, so only the payload walk can object
+	_, err := Decode(encodeRaw(meta, enc[len(enc)-tr.payloadLen:]))
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("tampered header not rejected: %v", err)
 	}
