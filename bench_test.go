@@ -42,14 +42,14 @@ func once(key string, f func()) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2()
+		rows := experiments.Table2(experiments.Plan{})
 		once("table2", func() { report.WriteTable2(os.Stdout, rows) })
 	}
 }
 
 func benchFigure(b *testing.B, f experiments.FigureID) {
 	for i := 0; i < b.N; i++ {
-		sw := experiments.RunFigure(f)
+		sw := experiments.RunFigure(f, experiments.Plan{})
 		once(f.Name(), func() {
 			report.WriteFigure(os.Stdout, f.Name(), sw)
 			if f == experiments.Figure4 {
@@ -68,7 +68,7 @@ func BenchmarkFigure9(b *testing.B) { benchFigure(b, experiments.Figure9) }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
+		rows, _ := experiments.Table3(experiments.Plan{})
 		once("table3", func() { report.WriteTable3(os.Stdout, rows) })
 	}
 }
@@ -162,12 +162,12 @@ func BenchmarkParallelSweep(b *testing.B) {
 	o := core.DefaultOptions()
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = experiments.RunSweepWorkers(o, nil, parallel.Serial)
+			_ = experiments.RunSweep(o, nil, experiments.Plan{Workers: parallel.Serial})
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = experiments.RunSweepWorkers(o, nil, 0)
+			_ = experiments.RunSweep(o, nil, experiments.Plan{})
 		}
 	})
 }

@@ -84,13 +84,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		benches = []workloads.Workload{w}
 	}
 
+	// One machine for the whole loop, reset before every version.
+	var r core.Runner
 	for _, w := range benches {
 		var base core.Result
 		for _, v := range core.Versions() {
 			if !versionSelected(*version, v) && v != core.Base {
 				continue
 			}
-			res := core.Run(w.Build, v, o)
+			res := r.Run(w.Build, v, o)
 			if v == core.Base {
 				base = res
 			}

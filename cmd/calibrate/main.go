@@ -120,7 +120,7 @@ func evaluate(c combo, workers int) scored {
 	m.ColdMax = c.cold
 	o.MAT = m
 
-	sw := experiments.RunSweepWorkers(o, nil, workers)
+	sw := experiments.RunSweep(o, nil, experiments.Plan{Workers: workers})
 	s := scored{c: c, avg: sw.Avg}
 
 	const eps = 0.25

@@ -100,10 +100,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	tc := experiments.NewTraceCache(*tracedir)
+	plan := experiments.Plan{Workers: *workers, Cache: tc, Mod: mod}
 	start := time.Now()
 	var events uint64
 	if doTable2 {
-		rows := experiments.Table2CachedMod(*workers, tc, mod)
+		rows := experiments.Table2(plan)
 		for _, r := range rows {
 			events += r.Instructions
 		}
@@ -111,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if doFigures {
 		for _, f := range experiments.Figures() {
-			sw := experiments.RunFigureCachedMod(f, *workers, tc, mod)
+			sw := experiments.RunFigure(f, plan)
 			events += sw.Events()
 			report.WriteFigure(stdout, f.Name(), sw)
 			if *energyOn {
@@ -123,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if doTable3 {
-		rows, sweeps := experiments.Table3CachedMod(*workers, tc, mod)
+		rows, sweeps := experiments.Table3(plan)
 		for _, sw := range sweeps {
 			events += sw.Events()
 		}

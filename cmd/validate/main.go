@@ -6,7 +6,10 @@
 // interpreter for every workload's stream classes, validates the marker
 // protocol of selective streams, and cross-checks the batched block
 // replay engine against the scalar path (recorded trace, both replays,
-// RunStats compared field by field).
+// RunStats compared field by field). The batched side runs on one
+// core.Runner per worker, reused across cells, so those checks also cover
+// the machine's Reset across configurations, mechanisms, policies and
+// way-memo settings.
 //
 //	validate                 # full matrix: 13 workloads × 5 versions × both mechanisms
 //	validate -short          # spot-check subset (one workload per class)
@@ -142,10 +145,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Batched-replay equivalence: record each cell's trace once and replay
-	// it through both the scalar and the block engine; every statistic
-	// the run produces must match exactly.
-	batched := parallel.Map(parallel.Workers(*workers), len(cells), func(i int) interpResult {
-		return interpResult{name: "batched " + cells[i].name(), err: checkBatchedReplay(cells[i])}
+	// it through the scalar engine on a fresh machine and through the block
+	// engine on the worker's reused one; every statistic the run produces
+	// must match exactly.
+	batched := parallel.MapWith(*workers, len(cells), func(r *core.Runner, i int) interpResult {
+		return interpResult{name: "batched " + cells[i].name(), err: checkBatchedReplay(cells[i], r)}
 	})
 	for _, r := range batched {
 		report(r.name, r.err)
@@ -307,14 +311,15 @@ func runCell(c cell, checkEvery uint64) error {
 }
 
 // checkBatchedReplay records the cell's event stream and replays it twice —
-// through the scalar event-at-a-time path and through the batched block
-// engine — and requires the full RunStats to match exactly (WallNanos, the
-// one nondeterministic field, zeroed).
-func checkBatchedReplay(c cell) error {
+// through the scalar event-at-a-time path on a fresh machine and through
+// the batched block engine on r, whose machine earlier cells left behind —
+// and requires the full RunStats to match exactly (WallNanos, the one
+// nondeterministic field, zeroed).
+func checkBatchedReplay(c cell, r *core.Runner) error {
 	o := c.options()
 	t, _, _ := core.RecordTrace(c.workload.Build, c.version, o)
 	sc := core.ReplayTraceScalar(t, c.version, o)
-	ba := core.ReplayTraceBuffered(t, c.version, o, nil)
+	ba := r.Replay(t, c.version, o)
 	sc.Sim.WallNanos, ba.Sim.WallNanos = 0, 0
 	if sc.Sim != ba.Sim {
 		return fmt.Errorf("batched replay diverges from scalar:\n     scalar  %+v\n     batched %+v", sc.Sim, ba.Sim)

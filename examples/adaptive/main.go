@@ -24,8 +24,8 @@ func main() {
 	ov := ob
 	ov.Mechanism = sim.HWVictim
 
-	bypass := experiments.RunSweep(ob, nil)
-	victim := experiments.RunSweep(ov, nil)
+	bypass := experiments.RunSweep(ob, nil, experiments.Plan{})
+	victim := experiments.RunSweep(ov, nil, experiments.Plan{})
 
 	for i := range bypass.Rows {
 		b := bypass.Rows[i].Improv[core.Selective]

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"selcache/internal/loopir"
 	"selcache/internal/mat"
@@ -205,44 +204,6 @@ func simOptions(v Version, o Options) sim.Options {
 		so.HonorMarkers = true
 	}
 	return so
-}
-
-// Run executes one version of the workload end to end and returns its
-// statistics.
-func Run(build Builder, v Version, o Options) Result {
-	return run(build, v, o.normalized(), new(sim.Machine))
-}
-
-// run is Run on a caller-held machine, which it resets for version v.
-func run(build Builder, v Version, o Options, machine *sim.Machine) Result {
-	prog, rst, ost := Prepare(build, v, o)
-	machine.Reset(o.Machine, simOptions(v, o))
-	start := time.Now()
-	loopir.Run(prog, machine)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{
-		Version: v,
-		Sim:     st,
-		Regions: rst,
-		Opt:     ost,
-		Program: prog,
-	}
-}
-
-// RunAll executes every version (Base first) and returns the results in
-// Versions() order. The five runs share one machine, reset between
-// versions, so its cache and MAT tables are allocated once; results are
-// identical to five Run calls, and the machine is garbage once RunAll
-// returns.
-func RunAll(build Builder, o Options) []Result {
-	o = o.normalized()
-	machine := new(sim.Machine)
-	out := make([]Result, 0, NumVersions)
-	for _, v := range Versions() {
-		out = append(out, run(build, v, o, machine))
-	}
-	return out
 }
 
 // Improvement returns the percentage cycle improvement of r over base:

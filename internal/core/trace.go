@@ -1,12 +1,9 @@
 package core
 
 import (
-	"time"
-
 	"selcache/internal/loopir"
 	"selcache/internal/opt"
 	"selcache/internal/regions"
-	"selcache/internal/sim"
 	"selcache/internal/trace"
 )
 
@@ -75,49 +72,4 @@ func RecordTrace(build Builder, v Version, o Options) (*trace.Trace, regions.Sta
 	rec := trace.NewRecorder()
 	loopir.Run(prog, rec)
 	return rec.Trace(), rst, ost
-}
-
-// ReplayTrace runs a recorded trace through a fresh machine configured for
-// version v under o, returning the same Result a live Run of that version
-// would (modulo the nondeterministic WallNanos and the fields only a live
-// run has: Program, Regions and Opt stats).
-//
-// The trace must carry v's stream class (see Version.Stream) and have been
-// recorded under options whose Normalized form matches o's; otherwise the
-// statistics describe a stream the version would never emit.
-func ReplayTrace(t *trace.Trace, v Version, o Options) Result {
-	o = o.normalized()
-	machine := sim.NewMachine(o.Machine, simOptions(v, o))
-	start := time.Now()
-	t.Replay(machine)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{Version: v, Sim: st}
-}
-
-// ReplayTraceScalar is ReplayTrace forced through the event-at-a-time
-// scalar path: the reference the batched engine is validated against
-// (cmd/validate, TestBatchedReplayEquivalence).
-func ReplayTraceScalar(t *trace.Trace, v Version, o Options) Result {
-	o = o.normalized()
-	machine := sim.NewMachine(o.Machine, simOptions(v, o))
-	start := time.Now()
-	t.ReplayScalar(machine)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{Version: v, Sim: st}
-}
-
-// ReplayTraceBuffered is ReplayTrace with a caller-owned reusable block:
-// sweep workers replaying hundreds of streams reuse one block per worker
-// (see parallel.Arena) instead of allocating one per replay. A nil blk
-// allocates privately.
-func ReplayTraceBuffered(t *trace.Trace, v Version, o Options, blk *trace.Block) Result {
-	o = o.normalized()
-	machine := sim.NewMachine(o.Machine, simOptions(v, o))
-	start := time.Now()
-	t.ReplayBatched(machine, blk)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{Version: v, Sim: st}
 }

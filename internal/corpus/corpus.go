@@ -123,19 +123,20 @@ type Row struct {
 }
 
 // Sweep runs every kernel through all five versions under o on the
-// bounded worker pool. Each cell is independent (fresh programs, and one
-// machine of its own reset between versions), so results are
+// bounded worker pool. Each cell is independent (fresh programs, run on
+// the worker's machine reset before every version), so results are
 // byte-identical to a serial loop regardless of worker count.
 func Sweep(kernels []synth.Kernel, o core.Options, workers int) []Row {
-	return parallel.MapWorkers(workers, len(kernels), func(_, i int) Row {
-		return runKernel(kernels[i], o)
+	return parallel.MapWith(workers, len(kernels), func(r *core.Runner, i int) Row {
+		return runKernel(kernels[i], o, r)
 	})
 }
 
-// runKernel is one sweep cell: core.RunAll over one kernel.
-func runKernel(k synth.Kernel, o core.Options) Row {
+// runKernel is one sweep cell: one kernel's five versions on the worker's
+// runner.
+func runKernel(k synth.Kernel, o core.Options, r *core.Runner) Row {
 	row := Row{Kernel: k}
-	res := core.RunAll(k.Build, o)
+	res := r.RunAll(k.Build, o)
 	for _, r := range res {
 		row.Stats[r.Version] = r.Sim
 		row.Improv[r.Version] = core.Improvement(res[core.Base], r)

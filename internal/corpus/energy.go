@@ -35,16 +35,19 @@ func EnergyArtifact(spec Spec, st BuildStats, kernels []synth.Kernel, o core.Opt
 		Schema:       report.EnergySchema,
 		CorpusHeader: header(spec, st, kernels, o),
 	}
-	for _, combo := range energyCombos {
+	// One fan-out over the (combo × kernel) grid, so each worker's machine
+	// carries across combos; stats are summed per combo below.
+	stats := parallel.MapWith(workers, len(energyCombos)*len(kernels), func(r *core.Runner, i int) sim.RunStats {
+		combo := energyCombos[i/len(kernels)]
 		oc := o
 		oc.Policy = combo.policy
 		oc.WayMemo = combo.waymemo
 		oc.Energy = true
-		stats := parallel.MapWorkers(workers, len(kernels), func(_, i int) sim.RunStats {
-			return core.Run(kernels[i].Build, core.Base, oc).Sim
-		})
+		return r.Run(kernels[i%len(kernels)].Build, core.Base, oc).Sim
+	})
+	for ci, combo := range energyCombos {
 		c := report.EnergyCombo{Policy: combo.name, WayMemo: combo.waymemo}
-		for _, s := range stats {
+		for _, s := range stats[ci*len(kernels) : (ci+1)*len(kernels)] {
 			c.Cycles += s.Cycles
 			c.L1Misses += s.L1.Misses
 			c.L2Misses += s.L2.Misses

@@ -29,11 +29,11 @@ func runPair(ws []workloads.Workload, v core.Version, def, abl core.Options) []A
 	// that only change the machine or mechanism parameters (not the
 	// compiler or region configuration) replay the default stream too.
 	tc := NewTraceCache("")
-	return parallel.Map(0, len(ws), func(i int) AblationRow {
+	return parallel.MapWith(0, len(ws), func(r *core.Runner, i int) AblationRow {
 		w := ws[i]
-		base := core.ReplayTrace(tc.Get(w, core.Base, def), core.Base, def)
-		d := core.ReplayTrace(tc.Get(w, v, def), v, def)
-		a := core.ReplayTrace(tc.Get(w, v, abl), v, abl)
+		base := r.Replay(tc.Get(w, core.Base, def), core.Base, def)
+		d := r.Replay(tc.Get(w, v, def), v, def)
+		a := r.Replay(tc.Get(w, v, abl), v, abl)
 		return AblationRow{
 			Benchmark: w.Name,
 			Default:   core.Improvement(base, d),
@@ -121,12 +121,12 @@ func ThresholdSweep(thresholds []float64, ws []workloads.Workload) []ThresholdRo
 		markers     uint64
 	}
 	tc := NewTraceCache("") // base streams shared across thresholds
-	cells := parallel.Map(0, len(thresholds)*len(ws), func(i int) cell {
+	cells := parallel.MapWith(0, len(thresholds)*len(ws), func(r *core.Runner, i int) cell {
 		o := core.DefaultOptions()
 		o.Regions = regions.Config{Threshold: thresholds[i/len(ws)], Propagate: true, Eliminate: true}
 		w := ws[i%len(ws)]
-		base := core.ReplayTrace(tc.Get(w, core.Base, o), core.Base, o)
-		sel := core.ReplayTrace(tc.Get(w, core.Selective, o), core.Selective, o)
+		base := r.Replay(tc.Get(w, core.Base, o), core.Base, o)
+		sel := r.Replay(tc.Get(w, core.Selective, o), core.Selective, o)
 		return cell{improvement: core.Improvement(base, sel), markers: sel.Sim.Markers}
 	})
 	out := make([]ThresholdRow, 0, len(thresholds))
@@ -161,8 +161,9 @@ func VictimScenario() VictimScenarioResult {
 	build := core.Builder(victimScenarioProgram)
 	o := core.DefaultOptions()
 	o.Mechanism = sim.HWVictim
-	comb := core.Run(build, core.Combined, o)
-	sel := core.Run(build, core.Selective, o)
+	var r core.Runner
+	comb := r.Run(build, core.Combined, o)
+	sel := r.Run(build, core.Selective, o)
 	return VictimScenarioResult{
 		CombinedCycles:      comb.Sim.Cycles,
 		SelectiveCycles:     sel.Sim.Cycles,
@@ -204,11 +205,11 @@ func CompilerPasses(ws []workloads.Workload) []CompilerPassRow {
 	})
 
 	tc := NewTraceCache("")
-	return parallel.Map(0, len(ws), func(i int) CompilerPassRow {
+	return parallel.MapWith(0, len(ws), func(r *core.Runner, i int) CompilerPassRow {
 		w := ws[i]
-		base := core.ReplayTrace(tc.Get(w, core.Base, full), core.Base, full)
+		base := r.Replay(tc.Get(w, core.Base, full), core.Base, full)
 		imp := func(o core.Options) float64 {
-			return core.Improvement(base, core.ReplayTrace(tc.Get(w, core.PureSoftware, o), core.PureSoftware, o))
+			return core.Improvement(base, r.Replay(tc.Get(w, core.PureSoftware, o), core.PureSoftware, o))
 		}
 		return CompilerPassRow{
 			Benchmark:  w.Name,
@@ -257,16 +258,16 @@ func MATDesignSweep(ws []workloads.Workload) []DesignPointRow {
 	// MAT parameters never enter the event stream, so every design point
 	// replays the same base and selective captures.
 	tc := NewTraceCache("")
-	cells := parallel.Map(0, len(points)*len(ws), func(i int) cell {
+	cells := parallel.MapWith(0, len(points)*len(ws), func(r *core.Runner, i int) cell {
 		m := mat.DefaultConfig()
 		points[i/len(ws)].mod(&m)
 		o := core.DefaultOptions()
 		o.MAT = m
 		w := ws[i%len(ws)]
-		base := core.ReplayTrace(tc.Get(w, core.Base, o), core.Base, o)
+		base := r.Replay(tc.Get(w, core.Base, o), core.Base, o)
 		return cell{
-			pureHW:    core.Improvement(base, core.ReplayTrace(tc.Get(w, core.PureHardware, o), core.PureHardware, o)),
-			selective: core.Improvement(base, core.ReplayTrace(tc.Get(w, core.Selective, o), core.Selective, o)),
+			pureHW:    core.Improvement(base, r.Replay(tc.Get(w, core.PureHardware, o), core.PureHardware, o)),
+			selective: core.Improvement(base, r.Replay(tc.Get(w, core.Selective, o), core.Selective, o)),
 		}
 	})
 	out := make([]DesignPointRow, 0, len(points))

@@ -8,28 +8,32 @@
 // five versions under one configuration and mechanism — that fan out across
 // the internal/parallel worker pool. Results are assembled in cell order,
 // so the output is byte-identical to a serial run (docs/PERFORMANCE.md
-// states the guarantee; TestParallelSweepMatchesSerial enforces it). The
-// exported entry points come in pairs: the historical name uses the default
-// pool, and a *Workers variant takes an explicit worker count, with
-// parallel.Serial as the no-goroutine fallback.
+// states the guarantee; TestParallelSweepMatchesSerial enforces it). Each
+// worker holds one core.Runner, so a sweep builds one machine per worker and
+// resets it between runs. There is one entry point per table or figure,
+// and each takes a Plan: the worker count, a shared trace cache and an
+// option adjustment, whose zero values are the defaults.
 package experiments
 
 import (
 	"selcache/internal/core"
 	"selcache/internal/parallel"
 	"selcache/internal/sim"
-	"selcache/internal/trace"
 	"selcache/internal/workloads"
 )
 
-// blockArena builds the per-worker arena of reusable blocks the sweeps hand
-// to core.ReplayTraceBuffered: one block per worker, padded and
-// first-touched on that worker (parallel.Arena), so replay never allocates
-// per cell and workers never false-share block state.
-func blockArena(workers int) *parallel.Arena[trace.Block] {
-	return parallel.NewArena(workers, func() *trace.Block {
-		return trace.NewBlock(trace.DefaultBlockEvents)
-	})
+// Plan says how a driver runs its cells. The zero Plan is the default: one
+// worker per CPU, a private trace cache and no option adjustment.
+type Plan struct {
+	// Workers is the worker count (< 1: one per CPU; parallel.Serial: a
+	// plain loop on the calling goroutine).
+	Workers int
+	// Cache shares recorded streams across drivers (cmd/experiments runs
+	// Table 2, the figures and Table 3 on one). nil means a private cache
+	// per call, in which each distinct stream is still recorded once.
+	Cache *TraceCache
+	// Mod adjusts every cell's options (nil: none).
+	Mod OptionMod
 }
 
 // Row holds one benchmark's results across the simulated versions.
@@ -75,22 +79,22 @@ func (sw Sweep) Events() uint64 {
 }
 
 // RunRow executes one sweep cell: a single benchmark through all five
-// versions under o, replaying streams from tc (nil: record privately).
-// It is the unit the batch drivers and the selcached service both build
-// on — a cell shares no mutable state beyond the trace cache, so RunRow
-// is safe to execute on any worker, and its RunStats are byte-identical
-// to a live core.Run (modulo the documented WallNanos nondeterminism).
+// versions under o, replaying streams from tc (nil: record privately) on
+// one machine reset between versions. It is the unit the selcached service
+// builds on: a cell shares no mutable state beyond the trace cache, so
+// RunRow is safe to execute on any worker, and its RunStats are
+// byte-identical to a live core.Run (modulo the documented WallNanos
+// nondeterminism).
 func RunRow(w workloads.Workload, o core.Options, tc *TraceCache) Row {
-	return runRow(w, o, tc.orNew(), nil)
+	return runRow(w, o, tc.orNew(), new(core.Runner))
 }
 
-// runRow is RunRow's internal form: tc must be non-nil. blk is the worker's
-// reusable decode block (nil: allocate per replay).
-func runRow(w workloads.Workload, o core.Options, tc *TraceCache, blk *trace.Block) Row {
+// runRow is RunRow on the worker's runner; tc must be non-nil.
+func runRow(w workloads.Workload, o core.Options, tc *TraceCache, r *core.Runner) Row {
 	row := Row{Benchmark: w.Name, Class: w.Class}
 	var base core.Result
 	for _, v := range core.Versions() {
-		res := core.ReplayTraceBuffered(tc.Get(w, v, o), v, o, blk)
+		res := r.Replay(tc.Get(w, v, o), v, o)
 		if v == core.Base {
 			base = res
 		}
@@ -107,12 +111,6 @@ func runRow(w workloads.Workload, o core.Options, tc *TraceCache, blk *trace.Blo
 // assembling cells they ran out of order (the selcached sweep endpoint)
 // must sort rows back into request order first.
 func Assemble(o core.Options, rows []Row) Sweep {
-	return assemble(o, rows)
-}
-
-// assemble computes the sweep aggregates from rows. Accumulation runs in
-// row order, so float summation matches the serial reference exactly.
-func assemble(o core.Options, rows []Row) Sweep {
 	sw := Sweep{Config: o.Machine, Mechanism: o.Mechanism, Rows: rows}
 	for i := range rows {
 		row := &rows[i]
@@ -140,31 +138,17 @@ func assemble(o core.Options, rows []Row) Sweep {
 }
 
 // RunSweep simulates the given workloads (paper order when ws is nil)
-// through all five versions under o, using the default worker pool.
-func RunSweep(o core.Options, ws []workloads.Workload) Sweep {
-	return RunSweepWorkers(o, ws, 0)
-}
-
-// RunSweepWorkers is RunSweep with an explicit worker count (< 1: one per
-// CPU; parallel.Serial: plain loop on the calling goroutine).
-func RunSweepWorkers(o core.Options, ws []workloads.Workload, workers int) Sweep {
-	return RunSweepCached(o, ws, workers, nil)
-}
-
-// RunSweepCached is RunSweepWorkers with an explicit trace cache, so a
-// caller running several sweeps (cmd/experiments, Table3) shares recorded
-// streams across them. A nil cache means a private per-sweep one: each
-// distinct stream is still interpreted only once within the sweep.
-func RunSweepCached(o core.Options, ws []workloads.Workload, workers int, tc *TraceCache) Sweep {
+// through all five versions under o, adjusted by p.Mod.
+func RunSweep(o core.Options, ws []workloads.Workload, p Plan) Sweep {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	tc = tc.orNew()
-	blocks := blockArena(workers)
-	rows := parallel.MapWorkers(workers, len(ws), func(wk, i int) Row {
-		return runRow(ws[i], o, tc, blocks.Get(wk))
+	p.Mod.apply(&o)
+	tc := p.Cache.orNew()
+	rows := parallel.MapWith(p.Workers, len(ws), func(r *core.Runner, i int) Row {
+		return runRow(ws[i], o, tc, r)
 	})
-	return assemble(o, rows)
+	return Assemble(o, rows)
 }
 
 // FigureID identifies one of the paper's per-benchmark figures.
@@ -215,24 +199,6 @@ func Figures() []FigureID {
 	return []FigureID{Figure4, Figure5, Figure6, Figure7, Figure8, Figure9}
 }
 
-// RunFigure reproduces one of Figures 4–9 (cache bypassing as the hardware
-// mechanism, per Section 5.1).
-func RunFigure(f FigureID) Sweep {
-	return RunFigureWorkers(f, 0)
-}
-
-// RunFigureWorkers is RunFigure with an explicit worker count.
-func RunFigureWorkers(f FigureID, workers int) Sweep {
-	return RunFigureCached(f, workers, nil)
-}
-
-// RunFigureCached is RunFigureWorkers with a shared trace cache. Figures
-// 4–9 differ only in machine configuration, so one cache lets all six
-// replay the same 39 recorded streams.
-func RunFigureCached(f FigureID, workers int, tc *TraceCache) Sweep {
-	return RunFigureCachedMod(f, workers, tc, nil)
-}
-
 // OptionMod adjusts the options of every cell in a driver-level run; the
 // machine-axis flags of cmd/experiments (-policy, -waymemo, -energy)
 // thread through it. nil means no adjustment. Mods must only touch
@@ -247,13 +213,15 @@ func (m OptionMod) apply(o *core.Options) {
 	}
 }
 
-// RunFigureCachedMod is RunFigureCached with an option adjustment.
-func RunFigureCachedMod(f FigureID, workers int, tc *TraceCache, mod OptionMod) Sweep {
+// RunFigure reproduces one of Figures 4–9 (cache bypassing as the hardware
+// mechanism, per Section 5.1). The figures differ only in machine
+// configuration, so one shared p.Cache lets all six replay the same 39
+// recorded streams.
+func RunFigure(f FigureID, p Plan) Sweep {
 	o := core.DefaultOptions()
 	o.Machine = f.Config()
 	o.Mechanism = sim.HWBypass
-	mod.apply(&o)
-	return RunSweepCached(o, nil, workers, tc)
+	return RunSweep(o, nil, p)
 }
 
 // Table2Row holds one benchmark's characteristics under the base machine
@@ -270,34 +238,17 @@ type Table2Row struct {
 
 // Table2 reproduces the benchmark-characteristics table. Classification of
 // misses is enabled, so it also reports the conflict-miss share the paper
-// quotes in Section 4.2 (53–72%).
-func Table2() []Table2Row {
-	return Table2Workers(0)
-}
-
-// Table2Workers is Table2 with an explicit worker count.
-func Table2Workers(workers int) []Table2Row {
-	return Table2Cached(workers, nil)
-}
-
-// Table2Cached is Table2Workers with a shared trace cache: the base
-// streams it records are the same ones the figures and Table 3 replay.
-func Table2Cached(workers int, tc *TraceCache) []Table2Row {
-	return Table2CachedMod(workers, tc, nil)
-}
-
-// Table2CachedMod is Table2Cached with an option adjustment.
-func Table2CachedMod(workers int, tc *TraceCache, mod OptionMod) []Table2Row {
+// quotes in Section 4.2 (53–72%). Its base streams are the ones the figures
+// and Table 3 replay, so a shared p.Cache records them once.
+func Table2(p Plan) []Table2Row {
 	o := core.DefaultOptions()
 	o.Classify = true
-	mod.apply(&o)
+	p.Mod.apply(&o)
 	ws := workloads.All()
-	tc = tc.orNew()
-	blocks := blockArena(workers)
-	return parallel.MapWorkers(workers, len(ws), func(wk, i int) Table2Row {
+	tc := p.Cache.orNew()
+	return parallel.MapWith(p.Workers, len(ws), func(r *core.Runner, i int) Table2Row {
 		w := ws[i]
-		res := core.ReplayTraceBuffered(tc.Get(w, core.Base, o), core.Base, o, blocks.Get(wk))
-		s := res.Sim
+		s := r.Replay(tc.Get(w, core.Base, o), core.Base, o).Sim
 		row := Table2Row{
 			Benchmark:    w.Name,
 			Class:        w.Class,
@@ -326,45 +277,25 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the average-improvement summary for every experiment
-// configuration and both hardware mechanisms.
-func Table3() []Table3Row {
-	return Table3Workers(0)
+// configuration and both hardware mechanisms. It also returns the
+// underlying sweeps, interleaved bypass/victim per configuration
+// (throughput reporting and tests).
+func Table3(p Plan) ([]Table3Row, []Sweep) {
+	return table3(p, nil)
 }
 
-// Table3Workers is Table3 with an explicit worker count.
-func Table3Workers(workers int) []Table3Row {
-	rows, _ := Table3Detail(workers)
-	return rows
-}
-
-// Table3Detail additionally returns the underlying sweeps, interleaved
-// bypass/victim per configuration (throughput reporting and tests).
-func Table3Detail(workers int) ([]Table3Row, []Sweep) {
-	return Table3Cached(workers, nil)
-}
-
-// Table3Cached is Table3Detail with a shared trace cache.
-func Table3Cached(workers int, tc *TraceCache) ([]Table3Row, []Sweep) {
-	return table3Detail(workers, nil, tc, nil)
-}
-
-// Table3CachedMod is Table3Cached with an option adjustment.
-func Table3CachedMod(workers int, tc *TraceCache, mod OptionMod) ([]Table3Row, []Sweep) {
-	return table3Detail(workers, nil, tc, mod)
-}
-
-// table3Detail flattens the full (configuration × mechanism × benchmark)
-// space — 6 × 2 × 13 = 156 cells by default — into one Map call, so the
-// pool stays saturated across sweep boundaries instead of draining twelve
-// times. Every cell replays cached streams: the 780 version runs behind
-// the default table reduce to 39 recordings (13 benchmarks × 3 stream
-// classes; nothing in the key varies across configurations or mechanisms).
-// ws overrides the benchmark list for tests.
-func table3Detail(workers int, ws []workloads.Workload, tc *TraceCache, mod OptionMod) ([]Table3Row, []Sweep) {
+// table3 flattens the full (configuration × mechanism × benchmark) space —
+// 6 × 2 × 13 = 156 cells by default — into one fan-out, so the pool stays
+// saturated across sweep boundaries instead of draining twelve times.
+// Every cell replays cached streams: the 780 version runs behind the
+// default table reduce to 39 recordings (13 benchmarks × 3 stream classes;
+// nothing in the key varies across configurations or mechanisms). ws
+// overrides the benchmark list for tests.
+func table3(p Plan, ws []workloads.Workload) ([]Table3Row, []Sweep) {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	tc = tc.orNew()
+	tc := p.Cache.orNew()
 	cfgs := sim.ExperimentConfigs()
 	// Sweep order matches the serial reference: per configuration, bypass
 	// then victim.
@@ -374,19 +305,18 @@ func table3Detail(workers int, ws []workloads.Workload, tc *TraceCache, mod Opti
 			o := core.DefaultOptions()
 			o.Machine = cfg
 			o.Mechanism = mech
-			mod.apply(&o)
+			p.Mod.apply(&o)
 			opts = append(opts, o)
 		}
 	}
 
-	blocks := blockArena(workers)
-	rows := parallel.MapWorkers(workers, len(opts)*len(ws), func(wk, i int) Row {
-		return runRow(ws[i%len(ws)], opts[i/len(ws)], tc, blocks.Get(wk))
+	rows := parallel.MapWith(p.Workers, len(opts)*len(ws), func(r *core.Runner, i int) Row {
+		return runRow(ws[i%len(ws)], opts[i/len(ws)], tc, r)
 	})
 
 	sweeps := make([]Sweep, len(opts))
 	for j := range opts {
-		sweeps[j] = assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
+		sweeps[j] = Assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
 	}
 	out := make([]Table3Row, 0, len(cfgs))
 	for ci, cfg := range cfgs {

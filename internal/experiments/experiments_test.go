@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func subset() []workloads.Workload {
 }
 
 func TestRunSweepShapes(t *testing.T) {
-	sw := RunSweep(core.DefaultOptions(), subset())
+	sw := RunSweep(core.DefaultOptions(), subset(), Plan{})
 	if len(sw.Rows) != 3 {
 		t.Fatalf("%d rows", len(sw.Rows))
 	}
@@ -101,7 +102,7 @@ func TestFigureIDs(t *testing.T) {
 func TestVictimSweepNeverLosesToBase(t *testing.T) {
 	o := core.DefaultOptions()
 	o.Mechanism = sim.HWVictim
-	sw := RunSweep(o, subset())
+	sw := RunSweep(o, subset(), Plan{})
 	for _, row := range sw.Rows {
 		if row.Improv[core.PureHardware] < -0.3 {
 			t.Errorf("%s: victim cache lost %.2f%% to base", row.Benchmark, -row.Improv[core.PureHardware])
@@ -149,13 +150,52 @@ func TestTable2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 13-benchmark classification pass")
 	}
-	rows := Table2()
+	rows := Table2(Plan{})
 	if len(rows) != 13 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
 		if r.Instructions == 0 || r.L1MissPct <= 0 {
 			t.Errorf("%s: empty characteristics %+v", r.Benchmark, r)
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates, the least over three
+// calls (a background allocation can only add).
+func allocatedBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestRunRowBuildsOneMachine: on a warm trace cache, RunRow's five versions
+// share one machine, so the row allocates less than two machines' worth.
+// A machine per version would allocate about five.
+func TestRunRowBuildsOneMachine(t *testing.T) {
+	for _, name := range []string{"tiny-compress", "tiny-tpcc"} {
+		var w workloads.Workload
+		for _, tw := range workloads.TinyGolden() {
+			if tw.Name == name {
+				w = tw
+			}
+		}
+		for _, cfg := range []sim.Config{sim.Base(), sim.ExperimentConfigs()[1]} {
+			o := core.DefaultOptions()
+			o.Machine = cfg
+			tc := NewTraceCache("")
+			RunRow(w, o, tc) // records the three streams
+			machine := allocatedBytes(func() { sim.NewMachine(cfg, core.SimOptions(core.Selective, o)) })
+			row := allocatedBytes(func() { RunRow(w, o, tc) })
+			if row >= 2*machine {
+				t.Errorf("%s on %s: RunRow allocated %d bytes, one machine %d", name, cfg.Name, row, machine)
+			}
 		}
 	}
 }

@@ -32,10 +32,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	for _, mech := range []sim.HWKind{sim.HWBypass, sim.HWVictim} {
 		o := core.DefaultOptions()
 		o.Mechanism = mech
-		serial := RunSweepWorkers(o, ws, parallel.Serial)
+		serial := RunSweep(o, ws, Plan{Workers: parallel.Serial})
 		normalize(&serial)
 		for _, workers := range []int{2, 4} {
-			par := RunSweepWorkers(o, ws, workers)
+			par := RunSweep(o, ws, Plan{Workers: workers})
 			normalize(&par)
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("mechanism %v: %d-worker sweep differs from serial:\nserial: %+v\nparallel: %+v",
@@ -51,8 +51,8 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 	// Two workloads keep the 12-sweep flattening honest (cell index maps
 	// to (sweep, workload)) while staying affordable on one CPU.
 	ws := subset()[:2]
-	serialRows, serialSweeps := table3Detail(parallel.Serial, ws, nil, nil)
-	parRows, parSweeps := table3Detail(4, ws, nil, nil)
+	serialRows, serialSweeps := table3(Plan{Workers: parallel.Serial}, ws)
+	parRows, parSweeps := table3(Plan{Workers: 4}, ws)
 	for i := range serialSweeps {
 		normalize(&serialSweeps[i])
 	}
@@ -69,7 +69,7 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 
 func TestTable3Shapes(t *testing.T) {
 	ws := subset()[:1]
-	rows, sweeps := table3Detail(0, ws, nil, nil)
+	rows, sweeps := table3(Plan{}, ws)
 	cfgs := sim.ExperimentConfigs()
 	if len(rows) != len(cfgs) {
 		t.Fatalf("%d rows, want %d", len(rows), len(cfgs))
@@ -98,7 +98,7 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestSweepWallClockFilled(t *testing.T) {
-	sw := RunSweepWorkers(core.DefaultOptions(), subset()[:1], parallel.Serial)
+	sw := RunSweep(core.DefaultOptions(), subset()[:1], Plan{Workers: parallel.Serial})
 	for _, row := range sw.Rows {
 		for v, st := range row.Stats {
 			if st.WallNanos <= 0 {

@@ -51,3 +51,12 @@ func (a *Arena[T]) Get(w int) *T {
 	}
 	return s.v
 }
+
+// MapWith is MapWorkers with one zero-valued S per worker, held in an Arena
+// and handed to every cell the worker runs: per-worker scratch state (a
+// core.Runner's machine) is built once per worker instead of once per
+// cell, and is garbage once MapWith returns.
+func MapWith[S, T any](workers, n int, fn func(s *S, i int) T) []T {
+	states := NewArena(workers, func() *S { return new(S) })
+	return MapWorkers(workers, n, func(w, i int) T { return fn(states.Get(w), i) })
+}

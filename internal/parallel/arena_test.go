@@ -107,6 +107,36 @@ func TestArenaPerWorkerStateUnderMap(t *testing.T) {
 	}
 }
 
+// TestMapWithPerWorkerState: every cell sees its worker's own state, one
+// value per worker at most, and results still land in cell order.
+func TestMapWithPerWorkerState(t *testing.T) {
+	const n = 500
+	for _, workers := range []int{Serial, 2, 4} {
+		type state struct{ cells int }
+		seen := make(map[*state]bool)
+		var mu sync.Mutex
+		out := MapWith(workers, n, func(s *state, i int) int {
+			s.cells++
+			mu.Lock()
+			seen[s] = true
+			mu.Unlock()
+			return i
+		})
+		total := 0
+		for s := range seen {
+			total += s.cells
+		}
+		if total != n || len(seen) > workers {
+			t.Fatalf("workers=%d: %d states ran %d cells, want at most %d states and %d cells", workers, len(seen), total, workers, n)
+		}
+		for i, v := range out {
+			if v != i {
+				t.Fatalf("workers=%d: cell %d returned %d", workers, i, v)
+			}
+		}
+	}
+}
+
 func TestPoolDoSlotIdentitiesExclusive(t *testing.T) {
 	const slots, tasks = 3, 60
 	p := NewPool(slots)

@@ -4,8 +4,10 @@
 //
 // Every sweep in internal/experiments decomposes into independent cells
 // (one workload through all versions under one configuration and
-// mechanism). Cells share nothing — each core.Run builds a fresh program
-// and a fresh machine — so they can execute on any worker in any order.
+// mechanism). Cells share no mutable state beyond the trace cache — each
+// builds a fresh program (or replays a read-only trace) on its worker's
+// own machine, reset before every run (MapWith hands each worker one
+// core.Runner) — so they can execute on any worker in any order.
 // Determinism comes from the assembly side: results are stored by cell
 // index, so the output of Map is byte-identical to a serial loop over the
 // same cells regardless of worker count or scheduling.

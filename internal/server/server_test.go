@@ -601,7 +601,7 @@ func TestAllWorkloadsMatchBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 0})
 
 	o := core.DefaultOptions()
-	batch := experiments.RunSweepCached(o, nil, 0, experiments.NewTraceCache(""))
+	batch := experiments.RunSweep(o, nil, experiments.Plan{Cache: experiments.NewTraceCache("")})
 	for _, row := range batch.Rows {
 		resp, b := postJSON(t, ts.URL+"/v1/run", fmt.Sprintf(`{"workload":%q}`, row.Benchmark))
 		if resp.StatusCode != http.StatusOK {

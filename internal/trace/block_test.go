@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -184,37 +185,41 @@ func TestDecodeRejectsUnpackableStream(t *testing.T) {
 	}
 }
 
-// TestPackSplitsLongComputeRuns decodes a compute run longer than one word
-// holds: pack splits it into runs of the same size into a slice of exactly
-// that many words, and the stream keeps its original bytes because the
-// split would not re-encode them.
-func TestPackSplitsLongComputeRuns(t *testing.T) {
-	const count = mem.MaxWordCount + 5
-	payload := binary.AppendUvarint([]byte{mem.EvCompute, 3}, count)
-	payload = append(payload, mem.EvMarkerOn)
-	data := encodeRaw(Meta{Events: count + 1, ComputeInstr: 3 * count, ComputeCalls: count, Markers: 1, OnMarkers: 1}, payload)
+// TestDecodeRejectsLongComputeRuns decodes compute runs longer than one
+// word holds, up to the 2^62 calls the decoder once accepted from a
+// 45-byte file. Every one is a corrupt stream, rejected without allocating
+// words for the claimed calls; the longest run one word holds decodes to
+// exactly that word.
+func TestDecodeRejectsLongComputeRuns(t *testing.T) {
+	stream := func(count uint64) []byte {
+		payload := binary.AppendUvarint([]byte{mem.EvCompute, 1}, count)
+		payload = append(payload, mem.EvMarkerOn)
+		return encodeRaw(Meta{Events: count + 1, ComputeInstr: count, ComputeCalls: count, Markers: 1, OnMarkers: 1}, payload)
+	}
+	for _, count := range []uint64{mem.MaxWordCount + 1, 1 << 48, 1 << 62} {
+		data := stream(count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "corrupt stream") || !strings.Contains(err.Error(), "does not fit 32 bits") {
+			t.Fatalf("run of %d calls (%d bytes): Decode returned %v, want a corrupt-stream error naming the limit", count, len(data), err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("rejecting a run of %d calls allocated %d bytes", count, b)
+		}
+	}
+	data := stream(mem.MaxWordCount)
 	tr, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := tr.BlockCursor()
-	blk := NewBlock(DefaultBlockEvents)
-	var words []uint64
-	for cur.Next(blk) {
-		words = append(words, blk.Words()...)
-	}
-	want := []uint64{mem.ComputeWord(3, mem.MaxWordCount), mem.ComputeWord(3, 5), mem.MarkerWord(true)}
-	if fmt.Sprint(words) != fmt.Sprint(want) {
-		t.Fatalf("packed words %#x, want %#x", words, want)
-	}
-	if cap(tr.packed) != len(want) {
-		t.Fatalf("packed %d words into a slice of capacity %d", len(want), cap(tr.packed))
-	}
-	if tr.raw == nil {
-		t.Fatal("stream with a split run dropped its wire bytes")
+	want := []uint64{mem.ComputeWord(1, mem.MaxWordCount), mem.MarkerWord(true)}
+	if !slices.Equal(tr.packed, want) || cap(tr.packed) != len(want) {
+		t.Fatalf("packed words %#x (capacity %d), want %#x", tr.packed, cap(tr.packed), want)
 	}
 	if !bytes.Equal(tr.Encode(), data) || tr.EncodedSize() != len(data) {
-		t.Fatal("re-encoding a stream with a split run changed its bytes")
+		t.Fatal("re-encoding the longest one-word run changed its bytes")
 	}
 }
 
@@ -228,9 +233,6 @@ func TestDecodeDropsCanonicalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.raw != nil {
-		t.Fatal("canonical stream kept its wire bytes")
-	}
 	if !slices.Equal(tr.packed, rec.packed) || cap(tr.packed) != len(tr.packed) {
 		t.Fatalf("decoded words %#x (capacity %d), recorded %#x", tr.packed, cap(tr.packed), rec.packed)
 	}
@@ -239,40 +241,53 @@ func TestDecodeDropsCanonicalBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeKeepsNonCanonicalBytes decodes streams with one non-minimal
-// varint each: every one packs to the words of the same calls recorded,
-// but those words would re-encode shorter, so the trace keeps its wire
-// bytes and Encode stays exact.
-func TestDecodeKeepsNonCanonicalBytes(t *testing.T) {
+// TestDecodeRejectsNonCanonicalVarints decodes streams that each pad one
+// varint, in the payload or in the header, with a redundant continuation
+// byte. The same calls recorded decode fine; the padded form is corrupt,
+// because its words would re-encode to different bytes.
+func TestDecodeRejectsNonCanonicalVarints(t *testing.T) {
 	access := Meta{Events: 1, Accesses: 1, Reads: 1}
 	compute := Meta{Events: 2, ComputeInstr: 6, ComputeCalls: 2}
 	for _, tc := range []struct {
 		name    string
 		meta    Meta
 		payload []byte
-		calls   func(r *Recorder)
+		padded  []byte
 	}{
-		{"access delta", access, []byte{mem.AccessTag(8, false), 0x90, 0x00}, func(r *Recorder) { r.Access(8, 8, false) }},
-		{"compute size", compute, []byte{mem.EvCompute, 0x83, 0x00, 0x02}, func(r *Recorder) { r.Compute(3); r.Compute(3) }},
-		{"compute count", compute, []byte{mem.EvCompute, 0x03, 0x82, 0x00}, func(r *Recorder) { r.Compute(3); r.Compute(3) }},
+		{"access delta", access, []byte{mem.AccessTag(8, false), 0x10}, []byte{mem.AccessTag(8, false), 0x90, 0x00}},
+		{"compute size", compute, []byte{mem.EvCompute, 0x03, 0x02}, []byte{mem.EvCompute, 0x83, 0x00, 0x02}},
+		{"compute count", compute, []byte{mem.EvCompute, 0x03, 0x02}, []byte{mem.EvCompute, 0x03, 0x82, 0x00}},
 	} {
-		data := encodeRaw(tc.meta, tc.payload)
-		tr, err := Decode(data)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if _, err := Decode(encodeRaw(tc.meta, tc.payload)); err != nil {
+			t.Fatalf("%s: canonical form rejected: %v", tc.name, err)
 		}
-		r := NewRecorder()
-		tc.calls(r)
-		rec := r.Trace()
-		if !slices.Equal(tr.packed, rec.packed) {
-			t.Fatalf("%s: decoded words %#x, recorded %#x", tc.name, tr.packed, rec.packed)
+		_, err := Decode(encodeRaw(tc.meta, tc.padded))
+		if err == nil || !strings.Contains(err.Error(), "corrupt stream") || !strings.Contains(err.Error(), "padded") {
+			t.Fatalf("%s: Decode returned %v, want a corrupt-stream error", tc.name, err)
 		}
-		if tr.raw == nil {
-			t.Fatalf("%s: non-canonical stream dropped its wire bytes", tc.name)
+	}
+
+	// Pad each header field in turn: magic, then eight one-byte fields.
+	good := recordSample(t).Encode()
+	checked := 0
+	for field := 0; field < 8; field++ {
+		off := len(magic)
+		for i := 0; i < field; i++ {
+			_, n := binary.Uvarint(good[off:])
+			off += n
 		}
-		if !bytes.Equal(tr.Encode(), data) || tr.EncodedSize() != len(data) {
-			t.Fatalf("%s: re-encoding a non-canonical stream changed its bytes", tc.name)
+		if good[off] >= 0x80 {
+			continue // a multi-byte field; padding its last byte is the same check
 		}
+		padded := append(append(append([]byte{}, good[:off]...), good[off]|0x80, 0x00), good[off+1:]...)
+		_, err := Decode(padded)
+		if err == nil || !strings.Contains(err.Error(), "reading header") || !strings.Contains(err.Error(), "padded") {
+			t.Fatalf("header field %d padded: Decode returned %v, want a header error", field, err)
+		}
+		checked++
+	}
+	if checked < 4 {
+		t.Fatalf("only %d header fields were one byte long", checked)
 	}
 }
 

@@ -27,9 +27,10 @@
 // # The .sctrace format
 //
 // A trace is a header followed by a payload of variable-length events.
-// All integers are unsigned LEB128 varints (encoding/binary's Uvarint)
-// unless noted; addresses are delta-encoded with zigzag-signed varints
-// against the previous access address (initially zero).
+// All integers are minimal-length unsigned LEB128 varints
+// (encoding/binary's Uvarint) unless noted; addresses are delta-encoded
+// with zigzag-signed varints against the previous access address
+// (initially zero).
 //
 //	header:
 //	  magic    8 bytes  "sctrace\x01" (the trailing byte is the version)
@@ -46,8 +47,9 @@
 //	event: a tag byte followed by operands.
 //	  tag & 0x03 (kind):
 //	    0  Compute: operands uvarint n (instructions per call,
-//	       0 < n < 2^24), uvarint count (run length, > 0). Replays as
-//	       count calls of Compute(n). Upper tag bits must be zero.
+//	       0 < n < 2^24), uvarint count (run length, 0 < count < 2^32).
+//	       Replays as count calls of Compute(n). Upper tag bits must be
+//	       zero.
 //	    1  Marker(on=true). No operands; upper tag bits must be zero.
 //	    2  Marker(on=false). No operands; upper tag bits must be zero.
 //	    3  Access: tag bit 0x04 is the write flag, bits 0x18 hold
@@ -56,12 +58,15 @@
 //	       int64 arithmetic); prevAddr updates to addr, which must be
 //	       below 2^56.
 //
-// The bounds on n and addresses are those of the in-memory packed form
-// (mem.MaxWordAddr, mem.MaxWordN), so every stream Decode accepts packs; a
-// longer run than mem.MaxWordCount packs as several words. Decode validates
-// the whole payload against the header counters, so a *Trace held in
-// memory is always well-formed: Replay and Cursor operate on validated data
-// and do not return errors. Truncated or corrupt inputs are
+// The bounds on n, count and addresses are those of the in-memory packed
+// form (mem.MaxWordN, mem.MaxWordCount, mem.MaxWordAddr), so every wire
+// event Decode accepts is exactly one word, and a stream can never unpack
+// into more words than it has payload bytes. Only the canonical encoding
+// is accepted: a padded (non-minimal) varint anywhere in the header or
+// payload is corrupt, so every accepted stream re-encodes to its own bytes.
+// Decode validates the whole payload against the header counters, so a
+// *Trace held in memory is always well-formed: Replay and Cursor operate on
+// validated data and do not return errors. Truncated or corrupt inputs are
 // rejected by Decode/ReadFrom with a descriptive error, never a panic
 // (FuzzTraceRoundTrip enforces this).
 package trace
@@ -70,6 +75,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -117,10 +123,7 @@ type Trace struct {
 	// construction: replays on any goroutine read them, none writes them.
 	packed []uint64
 
-	// raw keeps a decoded payload only when rebuildWire would not
-	// reproduce it (non-minimal varints, or a run split across words), so
-	// WriteTo stays byte-exact. payloadLen is the wire payload's length.
-	raw        []byte
+	// payloadLen is the wire payload's length in bytes.
 	payloadLen int
 }
 
@@ -254,15 +257,11 @@ func (r *Recorder) Trace() *Trace {
 	return &Trace{Meta: r.meta, packed: words, payloadLen: r.wireLen}
 }
 
-// pack resolves a validated payload p into the words event words validate
-// counted, access deltas turned into absolute addresses and the wire tag as
-// each word's low byte. A compute run longer than mem.MaxWordCount is split
-// into runs of the same size, which replay as the same calls. canonical
-// reports whether rebuildWire reproduces p: no split run, only minimal
-// varints.
-func pack(p []byte, words int) (packed []uint64, canonical bool) {
-	packed = make([]uint64, 0, words)
-	canonical = true
+// pack resolves a validated payload p of events wire events into one word
+// each, access deltas turned into absolute addresses and the wire tag as
+// each word's low byte.
+func pack(p []byte, events int) []uint64 {
+	packed := make([]uint64, 0, events)
 	var prev mem.Addr
 	for len(p) > 0 {
 		tag := p[0]
@@ -271,29 +270,24 @@ func pack(p []byte, words int) (packed []uint64, canonical bool) {
 		case mem.EvAccess:
 			delta, n := binary.Varint(p)
 			p = p[n:]
-			canonical = canonical && n == varintLen(delta)
 			prev = mem.Addr(int64(prev) + delta)
 			packed = append(packed, mem.AccessWord(prev, tag))
 		case mem.EvCompute:
 			cn, n1 := binary.Uvarint(p)
 			count, n2 := binary.Uvarint(p[n1:])
 			p = p[n1+n2:]
-			canonical = canonical && n1 == uvarintLen(cn) && n2 == uvarintLen(count) && count <= mem.MaxWordCount
-			for ; count > mem.MaxWordCount; count -= mem.MaxWordCount {
-				packed = append(packed, mem.ComputeWord(cn, mem.MaxWordCount))
-			}
 			packed = append(packed, mem.ComputeWord(cn, count))
 		default:
 			packed = append(packed, uint64(tag))
 		}
 	}
-	return packed, canonical
+	return packed
 }
 
 // rebuildWire encodes the packed words as the canonical wire payload: one
 // event per word, deltas against the previous access, minimal varints.
-// That is a recorded stream's payload, and a decoded one's when pack found
-// it canonical.
+// That is a recorded stream's payload, and, because Decode accepts only
+// canonical streams, a decoded one's too.
 func (t *Trace) rebuildWire() []byte {
 	buf := make([]byte, 0, t.payloadLen)
 	var prev mem.Addr
@@ -346,12 +340,12 @@ func corruptf(off int, format string, args ...any) error {
 	return fmt.Errorf("trace: corrupt stream at payload offset %d: %s", off, fmt.Sprintf(format, args...))
 }
 
-// validate walks the payload once, checking structure and cross-checking
-// the header counters. It returns the number of words pack produces: one
-// per wire event, plus one for every mem.MaxWordCount calls a run holds
-// beyond its first.
-func validate(meta Meta, payload []byte) (words int, err error) {
+// validate walks the payload once, checking structure, canonical varints
+// and the header counters. It returns the number of wire events, which is
+// the number of words pack produces.
+func validate(meta Meta, payload []byte) (events int, err error) {
 	var got Meta
+	runs := 0
 	var prev mem.Addr
 	off := 0
 	for off < len(payload) {
@@ -364,8 +358,8 @@ func validate(meta Meta, payload []byte) (words int, err error) {
 				return 0, corruptf(start, "access tag 0x%02x has reserved bits set", tag)
 			}
 			delta, n := binary.Varint(payload[off:])
-			if n <= 0 {
-				return 0, corruptf(start, "truncated or overlong access delta")
+			if n <= 0 || n != varintLen(delta) {
+				return 0, corruptf(start, "truncated, overlong or padded access delta")
 			}
 			off += n
 			prev = mem.Addr(int64(prev) + delta)
@@ -384,13 +378,13 @@ func validate(meta Meta, payload []byte) (words int, err error) {
 				return 0, corruptf(start, "compute tag 0x%02x has reserved bits set", tag)
 			}
 			cn, n := binary.Uvarint(payload[off:])
-			if n <= 0 {
-				return 0, corruptf(start, "truncated or overlong compute size")
+			if n <= 0 || n != uvarintLen(cn) {
+				return 0, corruptf(start, "truncated, overlong or padded compute size")
 			}
 			off += n
 			count, n := binary.Uvarint(payload[off:])
-			if n <= 0 {
-				return 0, corruptf(start, "truncated or overlong compute count")
+			if n <= 0 || n != uvarintLen(count) {
+				return 0, corruptf(start, "truncated, overlong or padded compute count")
 			}
 			off += n
 			if cn == 0 || count == 0 {
@@ -399,13 +393,16 @@ func validate(meta Meta, payload []byte) (words int, err error) {
 			if cn > mem.MaxWordN {
 				return 0, corruptf(start, "compute size %d does not fit 24 bits", cn)
 			}
-			if count > uint64(1)<<62/cn {
-				return 0, corruptf(start, "compute run %d x %d overflows", cn, count)
+			if count > mem.MaxWordCount {
+				return 0, corruptf(start, "compute run of %d calls does not fit 32 bits", count)
 			}
-			words += int((count-1)/mem.MaxWordCount) + 1
+			if got.ComputeInstr+cn*count < got.ComputeInstr {
+				return 0, corruptf(start, "compute instruction total overflows")
+			}
 			got.ComputeInstr += cn * count
 			got.ComputeCalls += count
 			got.Events += count
+			runs++
 		case mem.EvMarkerOn, mem.EvMarkerOff:
 			if tag&^0x03 != 0 {
 				return 0, corruptf(start, "marker tag 0x%02x has reserved bits set", tag)
@@ -420,20 +417,16 @@ func validate(meta Meta, payload []byte) (words int, err error) {
 	if got != meta {
 		return 0, fmt.Errorf("trace: header/payload mismatch: header %+v, payload holds %+v", meta, got)
 	}
-	return words + int(got.Accesses+got.Markers), nil
+	return runs + int(got.Accesses+got.Markers), nil
 }
 
 // WriteTo implements io.WriterTo, emitting the encoded trace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	payload := t.raw
-	if payload == nil {
-		payload = t.rebuildWire()
-	}
 	n1, err := w.Write(t.header())
 	if err != nil {
 		return int64(n1), err
 	}
-	n2, err := w.Write(payload)
+	n2, err := w.Write(t.rebuildWire())
 	return int64(n1) + int64(n2), err
 }
 
@@ -456,10 +449,15 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		&meta.Events, &meta.Accesses, &meta.Reads, &meta.ComputeInstr,
 		&meta.ComputeCalls, &meta.Markers, &meta.OnMarkers, &paylen,
 	} {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
+		buf, err := br.Peek(binary.MaxVarintLen64)
+		v, n := binary.Uvarint(buf)
+		if n <= 0 || n != uvarintLen(v) {
+			if err == nil || err == io.EOF {
+				err = errors.New("truncated, overlong or padded field")
+			}
 			return nil, fmt.Errorf("trace: reading header: %w", err)
 		}
+		br.Discard(n)
 		*dst = v
 	}
 	if meta.Reads > meta.Accesses || meta.OnMarkers > meta.Markers {
@@ -488,16 +486,11 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		}
 		return nil, err
 	}
-	words, err := validate(meta, payload)
+	events, err := validate(meta, payload)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Meta: meta, payloadLen: len(payload)}
-	var canonical bool
-	if t.packed, canonical = pack(payload, words); !canonical {
-		t.raw = payload
-	}
-	return t, nil
+	return &Trace{Meta: meta, packed: pack(payload, events), payloadLen: len(payload)}, nil
 }
 
 // Decode decodes, validates and packs an in-memory encoded trace.

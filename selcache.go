@@ -105,10 +105,15 @@ func Versions() []Version { return core.Versions() }
 // Experiment re-exports: regenerate the paper's tables and figures.
 
 // Table2 reproduces the benchmark-characteristics table.
-func Table2() []experiments.Table2Row { return experiments.Table2() }
+func Table2() []experiments.Table2Row { return experiments.Table2(experiments.Plan{}) }
 
 // Table3 reproduces the average-improvement summary.
-func Table3() []experiments.Table3Row { return experiments.Table3() }
+func Table3() []experiments.Table3Row {
+	rows, _ := experiments.Table3(experiments.Plan{})
+	return rows
+}
 
 // RunFigure reproduces one of Figures 4–9.
-func RunFigure(f experiments.FigureID) experiments.Sweep { return experiments.RunFigure(f) }
+func RunFigure(f experiments.FigureID) experiments.Sweep {
+	return experiments.RunFigure(f, experiments.Plan{})
+}
