@@ -21,9 +21,11 @@ test:
 	$(GO) test ./...
 
 # race also exercises the parallel-vs-serial determinism tests, which spawn
-# real workers even on one CPU; expect this to take several minutes.
+# real workers even on one CPU. The slowest package takes about 14 minutes
+# under -race on a 2-vCPU host, past go test's 10-minute default, hence the
+# explicit budget (docs/TESTING.md lists the per-package times).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # One pooled-vs-serial sweep plus the hot-path and capture
 # microbenchmarks, a single iteration each — a smoke test that the

@@ -99,7 +99,6 @@ func runServe(args []string, stdout, stderr io.Writer, ready chan<- string) erro
 		timeout  = fs.Duration("timeout", 2*time.Minute, "default per-request deadline (0: none)")
 		backlog  = fs.Int("max-backlog", 0, "queued-simulation bound before shedding with 429 (0: 16x workers, at least 256)")
 		bgFills  = fs.Int("max-bg-fills", 0, "bound on background cache fills for timed-out requests (0: worker count; negative: none)")
-		estPlan  = fs.Bool("estimate-plan", false, "order sweep cells by symbolic-estimator interest and allow estimate_top pruning")
 
 		workerMode = fs.Bool("worker", false, "run as a cluster worker (requires -join)")
 		join       = fs.String("join", "", "coordinator base `URL` to announce to (worker mode)")
@@ -133,7 +132,6 @@ func runServe(args []string, stdout, stderr io.Writer, ready chan<- string) erro
 		DefaultTimeout:     *timeout,
 		MaxBacklog:         *backlog,
 		MaxBackgroundFills: *bgFills,
-		EstimatePlan:       *estPlan,
 		Role:               role,
 		Log:                stderr,
 	})
@@ -277,7 +275,7 @@ const ctlGetAttempts = 3
 // fetch issues a GET, retrying transient transport errors (connection
 // refused or reset mid-exchange, as during a rolling restart) with capped
 // exponential backoff. Only reads go through here — replaying run/sweep
-// POSTs is the server flight group's call to make, not the client's. A
+// POSTs is the server's in-flight dedup's call to make, not the client's. A
 // client-side timeout is not retried: the deadline is already spent, and
 // another attempt would silently double it.
 func (c *ctlClient) fetch(path string) (*http.Response, error) {
@@ -381,7 +379,7 @@ func ctlSweep(c *ctlClient, args []string, stderr io.Writer) error {
 		configs = fs.String("configs", "", "comma-separated configurations (empty: all)")
 		mechs   = fs.String("mechs", "", "comma-separated mechanisms (empty: both)")
 		timeout = fs.Int64("timeout-ms", 0, "request deadline in milliseconds (0: server default)")
-		estTop  = fs.Int("estimate-top", 0, "prune each sweep to its N most interesting workloads (needs server -estimate-plan)")
+		estTop  = fs.Int("estimate-top", 0, "prune each sweep to its N most interesting workloads as scored by the symbolic estimator")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -259,6 +259,43 @@ func TestNoWorkersRunsLocally(t *testing.T) {
 	}
 }
 
+// TestForwardedRunKeepsEverySpecField: a cell with non-default policy,
+// way memo and energy knobs is forwarded whole, so the worker computes and
+// caches the same key the coordinator asked for — served from the remote
+// tier, with no remote error and no local re-run.
+func TestForwardedRunKeepsEverySpecField(t *testing.T) {
+	co := newCoordNode(t, fastConfig())
+	w := newTestNode(t, "worker", nil, nil)
+	mustJoin(t, co.ts.URL, w.ts.URL)
+
+	resp, body := postJSON(t, co.ts.URL+"/v1/run", `{"workload":"swim","policy":"ehc","waymemo":true,"energy":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status %d: %s", resp.StatusCode, body)
+	}
+	if tier := resp.Header.Get("X-Selcache-Tier"); tier != server.TierRemote {
+		t.Fatalf("tier %q, want %q", tier, server.TierRemote)
+	}
+	st := co.coord.Status().Stats
+	if st.RemoteErrors != 0 || st.LocalFallbacks != 0 || st.RemoteCells != 1 {
+		t.Fatalf("stats = %+v, want one remote cell, no errors, no local fallback", st)
+	}
+	if co.runs.Load() != 0 || w.runs.Load() != 1 {
+		t.Fatalf("coordinator ran %d cells and worker %d, want 0 and 1", co.runs.Load(), w.runs.Load())
+	}
+	var rr server.RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := http.Get(w.ts.URL + "/v1/results/" + rr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Body.Close()
+	if got.StatusCode != http.StatusOK {
+		t.Fatalf("worker has no result under the coordinator's key: status %d", got.StatusCode)
+	}
+}
+
 // TestWorkerKilledMidSweep kills the worker owning at least one in-flight
 // cell while a sweep is running; retries steer its shard to the survivor
 // and the merged output is still byte-identical.

@@ -153,13 +153,7 @@ func (c *Coordinator) call(w *worker, spec server.Spec, key string) (server.Stor
 	w.sem <- struct{}{} // per-worker in-flight bound
 	defer func() { <-w.sem }()
 
-	body, err := json.Marshal(server.RunRequest{
-		Workload:      spec.Workload,
-		Config:        spec.Config,
-		Mechanism:     spec.Mechanism,
-		Classify:      spec.Classify,
-		UpdateWhenOff: spec.UpdateWhenOff,
-	})
+	body, err := json.Marshal(spec.Request())
 	if err != nil {
 		return server.StoredResult{}, fmt.Errorf("marshaling cell request: %v", err)
 	}

@@ -267,7 +267,7 @@ func SampleIndices(n, sample int) []int {
 // fingerprint bytes so the sample covers the matrix without any RNG.
 func SpotCheck(kernels []synth.Kernel, sample int, o core.Options, workers int) []SpotCheckResult {
 	idx := SampleIndices(len(kernels), sample)
-	return parallel.MapWorkers(workers, len(idx), func(_, i int) SpotCheckResult {
+	return parallel.Map(workers, len(idx), func(i int) SpotCheckResult {
 		k := kernels[idx[i]]
 		r := SpotCheckResult{Kernel: k}
 		// fingerprint is 64 hex chars; two bytes of it pick the cell.

@@ -21,7 +21,7 @@ type EstimateRow struct {
 // is a pure function of (kernel, machine), so results are identical for
 // any worker count.
 func Estimates(kernels []synth.Kernel, o core.Options, workers int) []EstimateRow {
-	return parallel.MapWorkers(workers, len(kernels), func(_, i int) EstimateRow {
+	return parallel.Map(workers, len(kernels), func(i int) EstimateRow {
 		return EstimateRow{Kernel: kernels[i], Variants: core.EstimateVariants(kernels[i].Build, o)}
 	})
 }

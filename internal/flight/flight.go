@@ -1,13 +1,10 @@
-// Package flight provides in-flight call deduplication: when several
-// goroutines ask for the same key at once, one of them computes the value
-// and the rest block until it is ready. Two shapes are offered. Group is
-// the classic singleflight — the key is forgotten as soon as the call
-// completes, so a later request recomputes (the caller owns any caching).
-// Memo additionally retains every computed value for its lifetime, which
-// is what a record-once/replay-forever store like experiments.TraceCache
-// needs.
+// Package flight provides Memo, in-flight call deduplication that never
+// forgets: when several goroutines ask for the same key at once, one of
+// them computes the value and the rest block until it is ready, and every
+// later call gets the retained value. That is what a
+// record-once/replay-forever store like experiments.TraceCache needs.
 //
-// Both are safe for concurrent use and allocation-light: a waiter costs
+// Memo is safe for concurrent use and allocation-light: a waiter costs
 // one channel receive, a leader one map insert.
 //
 // A panic in the computing function does not strand waiters: the leader
@@ -35,7 +32,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("flight: shared call panicked: %v", e.Value)
 }
 
-// Outcome says how a Memo.Get (or Group.Do) call was satisfied.
+// Outcome says how a Memo.Get call was satisfied.
 type Outcome int
 
 const (
@@ -44,8 +41,7 @@ const (
 	// Waited means another caller was already computing the value and
 	// this one blocked until that computation finished.
 	Waited
-	// Cached means the value had been computed before the call started
-	// (Memo only; a Group forgets values, so it never reports Cached).
+	// Cached means the value had been computed before the call started.
 	Cached
 )
 
@@ -101,45 +97,7 @@ func (c *call[V]) deliver(o Outcome) (V, Outcome) {
 	return c.val, o
 }
 
-// Group deduplicates concurrent calls sharing a key. Completed keys are
-// forgotten immediately: Do only collapses calls whose executions overlap
-// in time. The zero value is ready to use.
-type Group[K comparable, V any] struct {
-	mu    sync.Mutex
-	calls map[K]*call[V]
-}
-
-// Do runs fn once per overlapping set of callers with the same key and
-// hands every caller the same value. fn runs on the leader's goroutine. If
-// fn panics, the panic propagates to the leader with its original value,
-// every waiter panics with a *PanicError wrapping that value, and the key
-// is forgotten as usual, so a later Do retries.
-func (g *Group[K, V]) Do(key K, fn func() V) (V, Outcome) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[K]*call[V])
-	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.deliver(Waited)
-	}
-	c := &call[V]{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.run(fn, func() {
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-	})
-	if c.didPanic {
-		panic(c.panicked)
-	}
-	return c.val, Computed
-}
-
-// Memo is a Group that never forgets: the first call for a key computes
+// Memo computes each key's value once: the first call for a key computes
 // the value, concurrent duplicates wait for it, and every later call gets
 // the retained value without blocking. The zero value is ready to use.
 type Memo[K comparable, V any] struct {

@@ -1,79 +1,11 @@
 package flight
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestGroupCollapsesOverlappingCalls(t *testing.T) {
-	var g Group[string, int]
-	var computed atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	const waiters = 8
-	results := make([]int, waiters)
-	outcomes := make([]Outcome, waiters)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, _ := g.Do("k", func() int {
-			close(started)
-			<-release
-			computed.Add(1)
-			return 42
-		})
-		if v != 42 {
-			t.Errorf("leader got %d, want 42", v)
-		}
-	}()
-	<-started
-
-	var entered atomic.Int64
-	wg.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		go func(i int) {
-			defer wg.Done()
-			entered.Add(1)
-			results[i], outcomes[i] = g.Do("k", func() int {
-				computed.Add(1)
-				return -1 // must never run
-			})
-		}(i)
-	}
-	// Release the leader only once every waiter is at (or inside) Do;
-	// the settle sleep covers the gap between the counter bump and the
-	// Do call. A waiter arriving after completion would become a fresh
-	// leader — correct for a forgetting Group, but not this scenario.
-	for entered.Load() < waiters {
-		runtime.Gosched()
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if n := computed.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
-	}
-	for i := 0; i < waiters; i++ {
-		if results[i] != 42 {
-			t.Errorf("waiter %d got %d, want 42", i, results[i])
-		}
-		if outcomes[i] != Waited {
-			t.Errorf("waiter %d outcome %v, want Waited", i, outcomes[i])
-		}
-	}
-
-	// The key was forgotten: a fresh call recomputes.
-	v, out := g.Do("k", func() int { return 7 })
-	if v != 7 || out != Computed {
-		t.Fatalf("post-completion Do = (%d, %v), want (7, Computed)", v, out)
-	}
-}
 
 func TestMemoRetainsValues(t *testing.T) {
 	var m Memo[int, string]
@@ -133,66 +65,6 @@ func panicOutcome(f func()) (value any, panicked bool) {
 	}()
 	f()
 	return nil, false
-}
-
-// TestGroupPanicPropagates is the regression test for the panic-stranding
-// bug: a panic in the leader's fn used to propagate to the leader only,
-// leaving every waiter blocked forever on a done channel that never
-// closed. Now the leader re-panics with the original value, each waiter
-// panics with a *PanicError, and the key is retried afterwards.
-func TestGroupPanicPropagates(t *testing.T) {
-	var g Group[string, int]
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	leaderDone := make(chan any, 1)
-	go func() {
-		v, _ := panicOutcome(func() {
-			g.Do("k", func() int {
-				close(started)
-				<-release
-				panic("boom")
-			})
-		})
-		leaderDone <- v
-	}()
-	<-started
-
-	const waiters = 8
-	waiterDone := make(chan any, waiters)
-	var entered atomic.Int64
-	for i := 0; i < waiters; i++ {
-		go func() {
-			entered.Add(1)
-			v, _ := panicOutcome(func() { g.Do("k", func() int { return -1 }) })
-			waiterDone <- v
-		}()
-	}
-	for entered.Load() != waiters {
-		runtime.Gosched()
-	}
-	time.Sleep(10 * time.Millisecond) // let the waiters reach <-c.done
-	close(release)
-
-	if v := <-leaderDone; v != "boom" {
-		t.Fatalf("leader panicked with %v, want the original value", v)
-	}
-	for i := 0; i < waiters; i++ {
-		select {
-		case v := <-waiterDone:
-			pe, ok := v.(*PanicError)
-			if !ok || pe.Value != "boom" {
-				t.Fatalf("waiter panicked with %v, want *PanicError{boom}", v)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("waiter still blocked after leader panic (the stranding bug)")
-		}
-	}
-
-	// The key was forgotten: a fresh call computes normally.
-	if v, out := g.Do("k", func() int { return 7 }); v != 7 || out != Computed {
-		t.Fatalf("post-panic Do = (%d, %v), want (7, Computed)", v, out)
-	}
 }
 
 // TestMemoPanicRetries checks the Memo side: waiters that overlapped a

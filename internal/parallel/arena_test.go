@@ -37,7 +37,7 @@ func TestMapWorkersCoversEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
 		const n = 1000
 		var runs [n]atomic.Int32
-		ids := MapWorkers(workers, n, func(w, i int) int {
+		ids := mapWorkers(workers, n, func(w, i int) int {
 			runs[i].Add(1)
 			return w
 		})
@@ -57,7 +57,7 @@ func TestMapWorkersCoversEveryCellOnce(t *testing.T) {
 }
 
 func TestMapWorkersSerialUsesWorkerZero(t *testing.T) {
-	ids := MapWorkers(Serial, 32, func(w, _ int) int { return w })
+	ids := mapWorkers(Serial, 32, func(w, _ int) int { return w })
 	for i, w := range ids {
 		if w != 0 {
 			t.Fatalf("serial cell %d reported worker %d", i, w)
@@ -67,7 +67,7 @@ func TestMapWorkersSerialUsesWorkerZero(t *testing.T) {
 
 func TestArenaIdentityAndLaziness(t *testing.T) {
 	var created atomic.Int32
-	a := NewArena[int](4, func() *int {
+	a := newArena[int](4, func() *int {
 		created.Add(1)
 		return new(int)
 	})
@@ -93,8 +93,8 @@ func TestArenaPerWorkerStateUnderMap(t *testing.T) {
 	// Each worker accumulates into its own slot; the per-slot totals must
 	// add up to every cell exactly once, proving no slot was shared.
 	const n, workers = 500, 4
-	a := NewArena[int](workers, func() *int { return new(int) })
-	MapWorkers(workers, n, func(w, i int) struct{} {
+	a := newArena[int](workers, func() *int { return new(int) })
+	mapWorkers(workers, n, func(w, i int) struct{} {
 		*a.Get(w) += 1
 		return struct{}{}
 	})
@@ -135,33 +135,4 @@ func TestMapWithPerWorkerState(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPoolDoSlotIdentitiesExclusive(t *testing.T) {
-	const slots, tasks = 3, 60
-	p := NewPool(slots)
-	held := make([]atomic.Bool, slots)
-	var wg sync.WaitGroup
-	wg.Add(tasks)
-	for i := 0; i < tasks; i++ {
-		go func() {
-			defer wg.Done()
-			ok := p.DoSlot(nil, func(s int) {
-				if s < 0 || s >= slots {
-					t.Errorf("slot %d outside [0, %d)", s, slots)
-					return
-				}
-				if !held[s].CompareAndSwap(false, true) {
-					t.Errorf("slot %d admitted twice concurrently", s)
-					return
-				}
-				held[s].Store(false)
-			})
-			if !ok {
-				t.Error("DoSlot with nil done returned false")
-			}
-		}()
-	}
-	wg.Wait()
-	p.Wait()
 }

@@ -81,15 +81,15 @@ func claimChunk(n, w int) int {
 // re-panics on the calling goroutine with the cell index attached; queued
 // cells that had not started are abandoned.
 func Map[T any](workers, n int, fn func(int) T) []T {
-	return MapWorkers(workers, n, func(_, i int) T { return fn(i) })
+	return mapWorkers(workers, n, func(_, i int) T { return fn(i) })
 }
 
-// MapWorkers is Map with the worker identity exposed: fn(w, i) computes
+// mapWorkers is Map with the worker identity exposed: fn(w, i) computes
 // cell i on worker w, where 0 <= w < min(Workers(workers), n) and each w
-// names exactly one goroutine for the whole call. Sweeps use the identity
-// to index per-worker scratch state (Arena) without locking; the serial
+// names exactly one goroutine for the whole call. MapWith uses the
+// identity to index per-worker state (arena) without locking; the serial
 // path runs everything as worker 0.
-func MapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
+func mapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -160,85 +160,3 @@ func MapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
 	}
 	return out
 }
-
-// ForEach is Map for side-effecting cells that produce no result.
-func ForEach(workers, n int, fn func(int)) {
-	Map(workers, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}
-
-// Pool is the long-lived counterpart of Map for server-style workloads: a
-// semaphore-bounded executor that admits tasks as capacity frees up
-// instead of fanning out one fixed batch. Map stays the right tool for
-// the batch drivers; selcached uses a Pool so concurrent HTTP requests
-// share one bounded set of simulation slots, admission can respect a
-// per-request deadline, and shutdown can drain in-flight work.
-type Pool struct {
-	// sem holds the free slot identities; admission takes one, release
-	// returns it. Slot identity (not just a count) lets tasks index
-	// per-slot state (Arena) without locking: a slot belongs to exactly
-	// one running task at a time.
-	sem      chan int
-	wg       sync.WaitGroup
-	inFlight atomic.Int64
-}
-
-// NewPool returns a pool admitting at most Workers(workers) concurrent
-// tasks.
-func NewPool(workers int) *Pool {
-	n := Workers(workers)
-	sem := make(chan int, n)
-	for i := 0; i < n; i++ {
-		sem <- i
-	}
-	return &Pool{sem: sem}
-}
-
-// Size reports the pool's concurrency bound.
-func (p *Pool) Size() int { return cap(p.sem) }
-
-// InFlight reports the number of tasks currently admitted (waiting tasks
-// are not counted).
-func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
-
-// Do runs fn on the calling goroutine once a slot is free. If done is
-// closed first — a request deadline expiring while the pool is saturated
-// — Do gives up without running fn and reports false. A nil done waits
-// indefinitely. Panics in fn propagate to the caller after the slot is
-// released.
-func (p *Pool) Do(done <-chan struct{}, fn func()) bool {
-	return p.DoSlot(done, func(int) { fn() })
-}
-
-// DoSlot is Do with the admitted slot's identity exposed: fn receives an
-// index in [0, Size()) that no other task holds while it runs, suitable
-// for indexing per-slot scratch state (Arena).
-func (p *Pool) DoSlot(done <-chan struct{}, fn func(slot int)) bool {
-	var slot int
-	select {
-	case slot = <-p.sem:
-	default:
-		// Saturated: block on either a slot or cancellation.
-		select {
-		case slot = <-p.sem:
-		case <-done:
-			return false
-		}
-	}
-	p.wg.Add(1)
-	p.inFlight.Add(1)
-	defer func() {
-		p.inFlight.Add(-1)
-		p.wg.Done()
-		p.sem <- slot
-	}()
-	fn(slot)
-	return true
-}
-
-// Wait blocks until every admitted task has finished. It does not close
-// the pool — selcached calls it during graceful drain, after the HTTP
-// listener has stopped accepting work.
-func (p *Pool) Wait() { p.wg.Wait() }

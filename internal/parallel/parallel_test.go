@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,94 +108,4 @@ func TestMapSerialPanicUnwrapped(t *testing.T) {
 		}
 		return i
 	})
-}
-
-func TestForEach(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	ForEach(4, 50, func(i int) {
-		mu.Lock()
-		seen[i] = true
-		mu.Unlock()
-	})
-	if len(seen) != 50 {
-		t.Fatalf("ForEach visited %d cells", len(seen))
-	}
-}
-
-func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(2)
-	if p.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", p.Size())
-	}
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ok := p.Do(nil, func() {
-				n := cur.Add(1)
-				for {
-					old := peak.Load()
-					if n <= old || peak.CompareAndSwap(old, n) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond)
-				cur.Add(-1)
-			})
-			if !ok {
-				t.Error("Do with nil done returned false")
-			}
-		}()
-	}
-	wg.Wait()
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("observed %d concurrent tasks, bound is 2", got)
-	}
-	if p.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after Wait-free drain, want 0", p.InFlight())
-	}
-}
-
-func TestPoolDoCancelledWhileSaturated(t *testing.T) {
-	p := NewPool(1)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go p.Do(nil, func() { close(started); <-block })
-	<-started
-
-	done := make(chan struct{})
-	close(done) // already expired
-	ran := false
-	if ok := p.Do(done, func() { ran = true }); ok {
-		t.Fatal("Do on a saturated pool with expired done returned true")
-	}
-	if ran {
-		t.Fatal("fn ran despite cancellation")
-	}
-	close(block)
-	p.Wait()
-}
-
-func TestPoolWaitDrains(t *testing.T) {
-	p := NewPool(4)
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Do(nil, func() {
-				time.Sleep(time.Millisecond)
-				done.Add(1)
-			})
-		}()
-	}
-	wg.Wait() // all admitted and finished (Do is synchronous)
-	p.Wait()
-	if got := done.Load(); got != 8 {
-		t.Fatalf("Wait returned with %d/8 tasks done", got)
-	}
 }

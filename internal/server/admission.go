@@ -1,12 +1,12 @@
 // admission.go is selcached's overload policy: request priority classes,
-// weighted fair queueing over the simulation worker pool, and load
-// shedding. Before this layer, a saturated pool queued waiters without
-// bound and every queued request eventually answered 504 — the worst of
-// both worlds (memory growth and no early signal). Now each simulation
-// must be admitted: free slots are granted immediately, a bounded backlog
-// queues behind them with run-class requests weighted ahead of bulk sweep
-// cells, and anything past the backlog bound is shed with 429 and a
-// Retry-After hint sized from the current queue and observed run latency.
+// weighted fair queueing over the simulation slots, and load shedding.
+// Without it, saturated slots would queue waiters without bound and every
+// queued request would eventually answer 504 — the worst of both worlds
+// (memory growth and no early signal). Each simulation must be admitted:
+// free slots are granted immediately, a bounded backlog queues behind them
+// with run-class requests weighted ahead of bulk sweep cells, and anything
+// past the backlog bound is shed with 429 and a Retry-After hint sized
+// from the current queue and observed run latency.
 //
 // Estimates are a class of their own but never queue behind simulations:
 // a symbolic answer costs microseconds, so it gets a generous concurrency
@@ -72,10 +72,10 @@ type waiter struct {
 	granted bool
 }
 
-// admission is the gate in front of the simulation pool. It owns exactly
-// as many tokens as the pool has slots, so a holder's pool.Do never
-// blocks; fairness and shedding both live here, where the queue is
-// visible, instead of inside the pool's opaque semaphore.
+// admission is the gate in front of local simulation and the only bound
+// on how many simulations run at once: a fill runs only while it holds
+// one of the gate's slots. Fairness and shedding both live here, where
+// the queue is visible.
 type admission struct {
 	slots        int
 	maxBacklog   int
@@ -128,7 +128,7 @@ func newAdmission(slots, maxBacklog, maxEstimates int, typicalRun func() time.Du
 }
 
 // acquire admits one simulation of the given class, blocking in the
-// class's fair queue while the pool is saturated. It returns nil when the
+// class's fair queue while every slot is taken. It returns nil when the
 // caller holds a slot (pair with release), an *overloadError when the
 // backlog bound sheds the request, or ctx.Err when ctx is done first.
 func (a *admission) acquire(ctx context.Context, class Class) error {
@@ -265,8 +265,8 @@ func (a *admission) retryAfterLocked() int {
 }
 
 // AdmissionMetrics is the admission-control section of a /metrics
-// snapshot: per-class counters plus the background-fill accounting from
-// the fill tracker.
+// snapshot: per-class counters plus the background-fill accounting of
+// the in-flight fills.
 type AdmissionMetrics struct {
 	// MaxBacklog is the shed bound; Queued is the current per-class queue
 	// depth.
@@ -285,8 +285,8 @@ type AdmissionMetrics struct {
 	BackgroundAborted   uint64 `json:"background_aborted"`
 }
 
-// snapshot captures the admission counters (fill-tracker fields are
-// merged in by the caller).
+// snapshot captures the admission counters (the background-fill fields
+// are merged in by the caller).
 func (a *admission) snapshot() AdmissionMetrics {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -303,164 +303,4 @@ func (a *admission) snapshot() AdmissionMetrics {
 	}
 	am.Queued[ClassEstimate.String()] = a.estBusy // estimates never queue; report concurrency
 	return am
-}
-
-// fillKey tracks one content key's live requesters and execution state
-// for the background-fill bound.
-type fillKey struct {
-	waiters    int
-	running    bool
-	background bool
-	// cancelQueue, when set, aborts the leader's admission wait; the
-	// tracker fires it when the last waiter leaves and no background
-	// credit is available, so an abandoned fill stops occupying backlog.
-	cancelQueue context.CancelFunc
-}
-
-// fillTracker bounds background cache fills. A request that answers 504
-// abandons only the wait; before this bound, the underlying simulation
-// always ran to completion, so sustained overload accumulated unbounded
-// queued background work. Now a fill whose waiters are all gone needs a
-// background credit to start (and is dropped when none is free), while a
-// fill already running when its last waiter leaves finishes and fills the
-// cache — that tail is bounded by the pool size.
-type fillTracker struct {
-	mu        sync.Mutex
-	keys      map[string]*fillKey
-	bgNow     int
-	bgCap     int
-	completed uint64
-	aborted   uint64
-}
-
-func newFillTracker(bgCap int) *fillTracker {
-	if bgCap < 0 {
-		bgCap = 0
-	}
-	return &fillTracker{keys: make(map[string]*fillKey), bgCap: bgCap}
-}
-
-func (f *fillTracker) state(key string) *fillKey {
-	st, ok := f.keys[key]
-	if !ok {
-		st = &fillKey{}
-		f.keys[key] = st
-	}
-	return st
-}
-
-func (f *fillTracker) cleanup(key string, st *fillKey) {
-	if st.waiters == 0 && !st.running && st.cancelQueue == nil {
-		delete(f.keys, key)
-	}
-}
-
-// addWaiter records a live request waiting on key.
-func (f *fillTracker) addWaiter(key string) {
-	f.mu.Lock()
-	f.state(key).waiters++
-	f.mu.Unlock()
-}
-
-// dropWaiter records a request leaving (served or timed out). When the
-// last waiter leaves a running fill, the fill becomes a background fill;
-// when it leaves a fill still queued for admission with no background
-// credit free, the leader's queue wait is cancelled.
-func (f *fillTracker) dropWaiter(key string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.keys[key]
-	if !ok {
-		return
-	}
-	st.waiters--
-	if st.waiters > 0 {
-		return
-	}
-	if st.running {
-		if !st.background {
-			st.background = true
-			f.bgNow++
-		}
-		return
-	}
-	if st.cancelQueue != nil && f.bgNow >= f.bgCap {
-		st.cancelQueue()
-	}
-	f.cleanup(key, st)
-}
-
-// registerLeader installs the cancel hook for a leader waiting in the
-// admission queue for key.
-func (f *fillTracker) registerLeader(key string, cancel context.CancelFunc) {
-	f.mu.Lock()
-	f.state(key).cancelQueue = cancel
-	f.mu.Unlock()
-}
-
-// unregisterLeader removes the cancel hook once the admission wait ended.
-func (f *fillTracker) unregisterLeader(key string) {
-	f.mu.Lock()
-	st, ok := f.keys[key]
-	if ok {
-		st.cancelQueue = nil
-		f.cleanup(key, st)
-	}
-	f.mu.Unlock()
-}
-
-// abortQueued records a fill dropped while still waiting for admission:
-// its last waiter left and no background credit was free, so the tracker
-// cancelled the leader's queue wait.
-func (f *fillTracker) abortQueued() {
-	f.mu.Lock()
-	f.aborted++
-	f.mu.Unlock()
-}
-
-// beginRun decides whether a granted fill may actually execute: with live
-// waiters it is foreground work; with none it needs a background credit
-// and is refused (false) when the bound is reached.
-func (f *fillTracker) beginRun(key string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.state(key)
-	if st.waiters == 0 {
-		if f.bgNow >= f.bgCap {
-			f.aborted++
-			f.cleanup(key, st)
-			return false
-		}
-		st.background = true
-		f.bgNow++
-	}
-	st.running = true
-	return true
-}
-
-// endRun records a fill finishing.
-func (f *fillTracker) endRun(key string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.keys[key]
-	if !ok {
-		return
-	}
-	st.running = false
-	if st.background {
-		st.background = false
-		f.bgNow--
-		f.completed++
-	}
-	f.cleanup(key, st)
-}
-
-// fill merges the tracker's counters into an admission snapshot.
-func (f *fillTracker) fill(am *AdmissionMetrics) {
-	f.mu.Lock()
-	am.BackgroundFills = f.bgNow
-	am.MaxBackgroundFills = f.bgCap
-	am.BackgroundCompleted = f.completed
-	am.BackgroundAborted = f.aborted
-	f.mu.Unlock()
 }

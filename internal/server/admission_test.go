@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,5 +425,63 @@ func TestTierCountersSumToServed(t *testing.T) {
 	}
 	if total != 4 {
 		t.Fatalf("tier total = %d, want 4 served requests", total)
+	}
+}
+
+// TestAdmissionBoundsConcurrentRuns: admission is the only bound on
+// concurrent simulations. With two workers and eight distinct concurrent
+// runs, never more than two runRow calls are in progress, /metrics reports
+// exactly those two as in flight with the other six queued, and every run
+// answers once the gate opens.
+func TestAdmissionBoundsConcurrentRuns(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	gate := make(chan struct{})
+	var live, peak atomic.Int64
+	s.SetRunRow(func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
+		n := live.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		<-gate
+		live.Add(-1)
+		return stubRow(w)
+	})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+
+	const runs = 8
+	codes := make([]int, runs)
+	var wg sync.WaitGroup
+	for i, wl := range workloads.All()[:runs] {
+		wg.Add(1)
+		go func(i int, bench string) {
+			defer wg.Done()
+			resp, _ := postJSON(t, ts.URL+"/v1/run", runBody(bench, 0))
+			codes[i] = resp.StatusCode
+		}(i, wl.Name)
+	}
+	snap := waitMetrics(t, ts.URL, "two runs in flight, six queued", func(m MetricsSnapshot) bool {
+		return m.Runs.InFlight == 2 && m.Admission.Queued["run"] == runs-2
+	})
+	if snap.Workers != 2 || live.Load() != 2 {
+		t.Fatalf("workers = %d, runRow calls in progress = %d, want 2 and 2", snap.Workers, live.Load())
+	}
+
+	open()
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("run %d answered %d, want 200", i, code)
+		}
+	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("peak concurrent runRow calls = %d, want 2", p)
+	}
+	if snap := fetchMetrics(t, ts.URL); snap.Runs.Started != runs || snap.Runs.Completed != runs || snap.Runs.InFlight != 0 {
+		t.Fatalf("runs = %+v, want %d started and completed, none in flight", snap.Runs, runs)
 	}
 }

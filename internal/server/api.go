@@ -57,11 +57,10 @@ type SweepRequest struct {
 	WayMemo       bool     `json:"waymemo,omitempty"`
 	Energy        bool     `json:"energy,omitempty"`
 	TimeoutMillis int64    `json:"timeout_ms,omitempty"`
-	// EstimateTop, when positive and the server runs with -estimate-plan,
-	// prunes each (config, mechanism) sweep to its N most interesting
-	// workloads as scored by the symbolic locality estimator; the pruned
-	// names are reported in SweepResult.Pruned. Without -estimate-plan the
-	// field is rejected, so a caller cannot silently get an unpruned sweep.
+	// EstimateTop, when positive, prunes each (config, mechanism) sweep to
+	// its N most interesting workloads as scored by the symbolic locality
+	// estimator; the pruned names are reported in SweepResult.Pruned.
+	// Negative values are rejected.
 	EstimateTop int `json:"estimate_top,omitempty"`
 }
 
@@ -139,6 +138,22 @@ func ResolveSpec(req RunRequest) (Spec, core.Options, error) {
 	return spec, o, nil
 }
 
+// Request returns the RunRequest that resolves back to s: every identity
+// field and no render-only one. A cell forwarded through it (internal/
+// cluster) reaches the worker whole, so both nodes hash the same key.
+func (s Spec) Request() RunRequest {
+	return RunRequest{
+		Workload:      s.Workload,
+		Config:        s.Config,
+		Mechanism:     s.Mechanism,
+		Classify:      s.Classify,
+		UpdateWhenOff: s.UpdateWhenOff,
+		Policy:        s.Policy,
+		WayMemo:       s.WayMemo,
+		Energy:        s.Energy,
+	}
+}
+
 // Key returns the content address of the cell: the SHA-256 of the spec's
 // canonical JSON encoding, in hex.
 func (s Spec) Key() string {
@@ -193,7 +208,7 @@ type SweepResult struct {
 	// sweep are omitted).
 	AvgImprovementPct      map[string]float64            `json:"avg_improvement_pct"`
 	ClassAvgImprovementPct map[string]map[string]float64 `json:"class_avg_improvement_pct"`
-	// Pruned lists workloads the estimate planner dropped (request order);
+	// Pruned lists workloads estimate_top dropped (request order);
 	// present only when the request set estimate_top. Averages cover the
 	// simulated rows only.
 	Pruned []string `json:"pruned,omitempty"`

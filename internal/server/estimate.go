@@ -1,10 +1,9 @@
 // estimate.go is the zero-cost answer tier: POST /v1/estimate serves the
 // symbolic locality estimator (internal/locality) directly on the request
-// goroutine — no pool dispatch, no simulation, no cache entry needed,
+// goroutine — no admission slot, no simulation, no cache entry needed,
 // because an estimate costs microseconds and is a pure function of
-// (workload, config). The same estimates drive the sweep planner: with
-// -estimate-plan, sweep cells are launched most-interesting-first and can
-// be pruned to the predicted-interesting top N.
+// (workload, config). The same estimates let a sweep's estimate_top prune
+// each slice to its predicted-interesting top N.
 package server
 
 import (

@@ -171,40 +171,36 @@ func TestSweepStreamsCanonicalBytes(t *testing.T) {
 	}
 }
 
-// TestSweepEstimatePlan: under -estimate-plan, estimate_top prunes each
-// (config, mechanism) slice to the predicted-interesting workloads — a
-// declined (unpredictable) workload always survives over one whose
-// variants the estimator separates confidently — and the pruned names are
-// reported. Reordering alone must not change the response bytes.
+// TestSweepEstimatePlan: estimate_top prunes each (config, mechanism)
+// slice to the predicted-interesting workloads — a declined
+// (unpredictable) workload always survives over one whose variants the
+// estimator separates confidently — and the pruned names are reported. A
+// cut that prunes nothing must not change the response bytes.
 func TestSweepEstimatePlan(t *testing.T) {
-	plain, tsPlain := newTestServer(t, Config{Workers: 4})
-	planned, tsPlanned := newTestServer(t, Config{Workers: 4, EstimatePlan: true})
-	runRow := func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	s.SetRunRow(func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
 		return stubRow(w)
-	}
-	plain.SetRunRow(runRow)
-	planned.SetRunRow(runRow)
+	})
 
-	// Same request against a plain and a planning server: the planner may
-	// only reorder execution, so the bodies must be byte-identical.
-	req := `{"workloads":["swim","perl","vpenta"],"configs":["base"],"mechanisms":["bypass"]}`
-	respA, bodyA := postJSON(t, tsPlain.URL+"/v1/sweep", req)
-	respB, bodyB := postJSON(t, tsPlanned.URL+"/v1/sweep", req)
+	// estimate_top at or above the workload count keeps every row: the
+	// body is byte-identical to the same sweep without it.
+	respA, bodyA := postJSON(t, ts.URL+"/v1/sweep", `{"workloads":["swim","perl","vpenta"],"configs":["base"],"mechanisms":["bypass"]}`)
+	respB, bodyB := postJSON(t, ts.URL+"/v1/sweep", `{"workloads":["swim","perl","vpenta"],"configs":["base"],"mechanisms":["bypass"],"estimate_top":3}`)
 	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
 		t.Fatalf("statuses %d/%d: %s", respA.StatusCode, respB.StatusCode, bodyB)
 	}
 	if !bytes.Equal(bodyA, bodyB) {
-		t.Fatalf("estimate-plan reordering changed the response bytes:\nplain:   %q\nplanned: %q", bodyA, bodyB)
+		t.Fatalf("an estimate_top that prunes nothing changed the response bytes:\nplain:   %q\nplanned: %q", bodyA, bodyB)
 	}
 
 	// Pruning: perl is declined (interest ∞) so it must survive any top-1
 	// cut; the analyzable workloads are pruned and named in request order.
 	var executed atomic.Int64
-	planned.SetRunRow(func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
+	s.SetRunRow(func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
 		executed.Add(1)
 		return stubRow(w)
 	})
-	resp, b := postJSON(t, tsPlanned.URL+"/v1/sweep",
+	resp, b := postJSON(t, ts.URL+"/v1/sweep",
 		`{"workloads":["swim","perl","vpenta"],"configs":["larger-l1"],"mechanisms":["bypass"],"estimate_top":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
@@ -227,13 +223,19 @@ func TestSweepEstimatePlan(t *testing.T) {
 		t.Fatalf("%d cells executed, want 1 (pruned cells must not run)", executed.Load())
 	}
 
-	// estimate_top without the planner enabled is an explicit refusal, not
-	// a silently unpruned sweep; negative values are rejected everywhere.
-	resp, _ = postJSON(t, tsPlain.URL+"/v1/sweep", `{"workloads":["swim"],"estimate_top":1}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("estimate_top without -estimate-plan = %d, want 400", resp.StatusCode)
+	// Pruning needs no server option: a second slice on the same server
+	// prunes too. Negative values are rejected.
+	resp, b = postJSON(t, ts.URL+"/v1/sweep", `{"workloads":["swim","perl"],"configs":["base"],"mechanisms":["victim"],"estimate_top":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second pruned sweep = %d, want 200: %s", resp.StatusCode, b)
 	}
-	resp, _ = postJSON(t, tsPlanned.URL+"/v1/sweep", `{"workloads":["swim"],"estimate_top":-1}`)
+	if err := json.Unmarshal(b, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sw := sr.Sweeps[0]; len(sw.Rows) != 1 || sw.Rows[0].Workload != "perl" || len(sw.Pruned) != 1 || sw.Pruned[0] != "swim" {
+		t.Fatalf("rows %+v pruned %v, want perl kept and swim pruned", sw.Rows, sw.Pruned)
+	}
+	resp, _ = postJSON(t, ts.URL+"/v1/sweep", `{"workloads":["swim"],"estimate_top":-1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative estimate_top = %d, want 400", resp.StatusCode)
 	}

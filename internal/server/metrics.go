@@ -11,6 +11,25 @@ import (
 // current behavior instead of averaging over the server's whole life.
 const latencyWindow = 1024
 
+// latencyRing keeps the most recent latencyWindow latencies.
+type latencyRing struct {
+	buf   [latencyWindow]time.Duration
+	count uint64 // total latencies ever recorded
+}
+
+func (r *latencyRing) add(d time.Duration) {
+	r.buf[r.count%latencyWindow] = d
+	r.count++
+}
+
+// sorted returns the window's latencies in ascending order.
+func (r *latencyRing) sorted() []time.Duration {
+	lat := make([]time.Duration, min(r.count, latencyWindow))
+	copy(lat, r.buf[:])
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return lat
+}
+
 // metrics aggregates everything GET /metrics reports that is not owned
 // by another component (the result and trace caches snapshot themselves).
 type metrics struct {
@@ -28,9 +47,7 @@ type metrics struct {
 	// aggregate events-per-second figure.
 	events   uint64
 	runNanos int64
-	// window is a ring of the most recent run latencies.
-	window [latencyWindow]time.Duration
-	count  uint64 // total latencies ever recorded
+	runLat   latencyRing
 
 	// tiers counts served results per cache-hierarchy tier (memory,
 	// disk, peer, remote, computed). Deduplicated waiters count under
@@ -38,13 +55,11 @@ type metrics struct {
 	tiers map[string]uint64
 
 	// estVerdicts counts served estimates per verdict ("exact",
-	// "bounded", "declined"); estWindow/estCount are the estimate
-	// latency ring, kept separate from the run ring because estimates
-	// are ~6 orders of magnitude faster and would otherwise vanish
-	// under simulation latencies.
+	// "bounded", "declined"); estLat is kept apart from runLat because
+	// estimates are ~6 orders of magnitude faster and would otherwise
+	// vanish under simulation latencies.
 	estVerdicts map[string]uint64
-	estWindow   [latencyWindow]time.Duration
-	estCount    uint64
+	estLat      latencyRing
 }
 
 func newMetrics() *metrics {
@@ -87,16 +102,10 @@ func (m *metrics) snapshotTiers() map[string]uint64 {
 func (m *metrics) typicalRun() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := m.count
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n == 0 {
+	lat := m.runLat.sorted()
+	if len(lat) == 0 {
 		return 0
 	}
-	lat := make([]time.Duration, n)
-	copy(lat, m.window[:n])
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return lat[len(lat)/2]
 }
 
@@ -119,8 +128,7 @@ func (m *metrics) runCompleted(d time.Duration, events uint64) {
 	m.runsCompleted++
 	m.events += events
 	m.runNanos += int64(d)
-	m.window[m.count%latencyWindow] = d
-	m.count++
+	m.runLat.add(d)
 	m.mu.Unlock()
 }
 
@@ -129,8 +137,7 @@ func (m *metrics) runCompleted(d time.Duration, events uint64) {
 func (m *metrics) estimateServed(verdict string, d time.Duration) {
 	m.mu.Lock()
 	m.estVerdicts[verdict]++
-	m.estWindow[m.estCount%latencyWindow] = d
-	m.estCount++
+	m.estLat.add(d)
 	m.mu.Unlock()
 }
 
@@ -147,21 +154,13 @@ type EstimateMetrics struct {
 func (m *metrics) snapshotEstimates() EstimateMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	em := EstimateMetrics{Served: m.estCount, Verdicts: make(map[string]uint64, len(m.estVerdicts))}
+	em := EstimateMetrics{Served: m.estLat.count, Verdicts: make(map[string]uint64, len(m.estVerdicts))}
 	for k, v := range m.estVerdicts {
 		em.Verdicts[k] = v
 	}
-	n := m.estCount
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n > 0 {
-		lat := make([]time.Duration, n)
-		copy(lat, m.estWindow[:n])
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		em.P50Micros = quantile(lat, 0.50) * 1000
-		em.P99Micros = quantile(lat, 0.99) * 1000
-	}
+	lat := m.estLat.sorted()
+	em.P50Micros = quantile(lat, 0.50) * 1000
+	em.P99Micros = quantile(lat, 0.99) * 1000
 	return em
 }
 
@@ -179,32 +178,23 @@ type RunMetrics struct {
 	P99Millis    float64 `json:"latency_p99_ms"`
 }
 
-// snapshotRuns computes the run section. inFlight comes from the pool,
-// which owns that gauge.
-func (m *metrics) snapshotRuns(inFlight int64) RunMetrics {
+// snapshotRuns computes the run section.
+func (m *metrics) snapshotRuns() RunMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rm := RunMetrics{
 		Started:   m.runsStarted,
 		Completed: m.runsCompleted,
-		InFlight:  inFlight,
+		InFlight:  int64(m.runsStarted - m.runsCompleted),
 		Deduped:   m.runsDeduped,
 		Events:    m.events,
 	}
 	if m.runNanos > 0 {
 		rm.EventsPerSec = float64(m.events) / (float64(m.runNanos) * 1e-9)
 	}
-	n := m.count
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n > 0 {
-		lat := make([]time.Duration, n)
-		copy(lat, m.window[:n])
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		rm.P50Millis = quantile(lat, 0.50)
-		rm.P99Millis = quantile(lat, 0.99)
-	}
+	lat := m.runLat.sorted()
+	rm.P50Millis = quantile(lat, 0.50)
+	rm.P99Millis = quantile(lat, 0.99)
 	return rm
 }
 

@@ -12,9 +12,10 @@ func TestMetricsRunAccounting(t *testing.T) {
 	m.runStarted()
 	m.runCompleted(300*time.Millisecond, 3_000_000)
 	m.runDeduped()
+	m.runStarted() // still running: in_flight is started minus completed
 
-	rm := m.snapshotRuns(1)
-	if rm.Started != 2 || rm.Completed != 2 || rm.Deduped != 1 || rm.InFlight != 1 {
+	rm := m.snapshotRuns()
+	if rm.Started != 3 || rm.Completed != 2 || rm.Deduped != 1 || rm.InFlight != 1 {
 		t.Fatalf("snapshot = %+v", rm)
 	}
 	if rm.Events != 4_000_000 {
@@ -39,7 +40,7 @@ func TestMetricsLatencyWindowWraps(t *testing.T) {
 	for i := 0; i < latencyWindow; i++ {
 		m.runCompleted(5*time.Millisecond, 0)
 	}
-	rm := m.snapshotRuns(0)
+	rm := m.snapshotRuns()
 	if rm.P50Millis != 5 || rm.P99Millis != 5 {
 		t.Fatalf("p50/p99 = %g/%g, want 5/5 after window wrap", rm.P50Millis, rm.P99Millis)
 	}
@@ -56,7 +57,7 @@ func TestMetricsLatencyWindowPartialRollover(t *testing.T) {
 	for i := 0; i < latencyWindow/2; i++ {
 		m.runCompleted(time.Millisecond, 0)
 	}
-	rm := m.snapshotRuns(0)
+	rm := m.snapshotRuns()
 	// Sorted window: latencyWindow/2 values at 1ms, then latencyWindow/2 at
 	// 10ms. Nearest-rank p50 lands on the last 1ms, p99 in the 10ms half.
 	if rm.P50Millis != 1 {

@@ -2,13 +2,14 @@
 // over the reproduction's experiment engine. It exposes a small JSON API
 // (docs/SERVICE.md) for running single cells and Table-2/3-shaped sweeps,
 // backed by three reuse tiers: the content-addressed result cache
-// (identical requests are cache hits), a flight.Group collapsing
-// concurrent identical requests onto one in-flight simulation, and the
-// shared experiments.TraceCache (distinct requests that share a stream
-// class still skip the interpreter). Simulations execute on a bounded
-// parallel.Pool; requests carry deadlines, and a timed-out request
-// abandons only the wait — the run completes in the background and fills
-// the cache for the retry.
+// (identical requests are cache hits), one in-flight fill record per
+// missing cell collapsing concurrent identical requests onto one
+// simulation (fill.go), and the shared experiments.TraceCache (distinct
+// requests that share a stream class still skip the interpreter).
+// Admission control (admission.go) bounds how many simulations run at
+// once; requests carry deadlines, and a timed-out request abandons only
+// the wait — the run completes in the background and fills the cache for
+// the retry.
 package server
 
 import (
@@ -26,7 +27,6 @@ import (
 
 	"selcache/internal/core"
 	"selcache/internal/experiments"
-	"selcache/internal/flight"
 	"selcache/internal/parallel"
 	"selcache/internal/sim"
 	"selcache/internal/workloads"
@@ -61,11 +61,6 @@ type Config struct {
 	// — cache fills for requests that already timed out (0: the worker
 	// count; negative: no background fills).
 	MaxBackgroundFills int
-	// EstimatePlan enables the symbolic-estimator sweep planner: cells
-	// launch most-interesting-first (largest predicted cost spread across
-	// program variants) and sweeps may set estimate_top to prune the
-	// predicted-uninteresting tail.
-	EstimatePlan bool
 	// Role names this node's place in a cluster for GET /healthz
 	// ("coordinator", "worker"; empty: "standalone").
 	Role string
@@ -74,19 +69,25 @@ type Config struct {
 }
 
 // Server is the selcached engine: an http.Handler plus the caches and
-// pool behind it. Create one with New; it has no Close — stop the HTTP
-// listener first, then call Drain to wait for background work.
+// admission gate behind it. Create one with New; it has no Close — stop
+// the HTTP listener first, then call Drain to wait for background work.
 type Server struct {
 	cfg     Config
-	pool    *parallel.Pool
 	traces  *experiments.TraceCache
 	results *resultCache
-	group   flight.Group[string, execOutcome]
 	metrics *metrics
 	adm     *admission
-	fills   *fillTracker
 	mux     *http.ServeMux
-	bg      sync.WaitGroup
+	bg      sync.WaitGroup // one count per fill leader
+
+	fillMu sync.Mutex
+	fills  map[string]*fill // in-flight fills by content key
+	// bgNow counts fills running with no live waiter, bounded by bgCap;
+	// bgCompleted and bgAborted are lifetime counters, where aborted
+	// means a fill was dropped before running because the bound was
+	// reached.
+	bgNow, bgCap           int
+	bgCompleted, bgAborted uint64
 
 	// runRow executes one cell; tests substitute slow or counting stand-ins.
 	runRow func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row
@@ -106,20 +107,21 @@ func New(cfg Config) *Server {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
+	workers := parallel.Workers(cfg.Workers)
+	bgCap := cfg.MaxBackgroundFills
+	if bgCap == 0 {
+		bgCap = workers
+	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    parallel.NewPool(cfg.Workers),
 		traces:  experiments.NewTraceCache(cfg.TraceDir),
 		results: newResultCache(cfg.CacheEntries, cfg.CacheDir),
 		metrics: newMetrics(),
+		fills:   make(map[string]*fill),
+		bgCap:   max(bgCap, 0),
 		runRow:  experiments.RunRow,
 	}
-	s.adm = newAdmission(s.pool.Size(), cfg.MaxBacklog, 0, s.metrics.typicalRun)
-	bgCap := cfg.MaxBackgroundFills
-	if bgCap == 0 {
-		bgCap = s.pool.Size()
-	}
-	s.fills = newFillTracker(bgCap)
+	s.adm = newAdmission(workers, cfg.MaxBacklog, 0, s.metrics.typicalRun)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -185,135 +187,7 @@ func (s *Server) Describe() string {
 		d = s.cfg.DefaultTimeout.String()
 	}
 	return fmt.Sprintf("%d simulation workers, result cache %s, default timeout %s",
-		s.pool.Size(), s.results.describe(), d)
-}
-
-// errDeadline marks a request that expired before its result was ready.
-var errDeadline = errors.New("deadline exceeded waiting for simulation")
-
-// errAbandoned marks a fill dropped before execution: every requester had
-// timed out and the background-fill bound left no credit to run it anyway.
-var errAbandoned = errors.New("fill abandoned: no live waiter and background-fill bound reached")
-
-// execOutcome is the flight-shared value of one fill: the result, the
-// tier that produced it, or the reason it was not produced. Carrying the
-// error through the flight group means a shed or abandoned leader answers
-// every deduplicated waiter too.
-type execOutcome struct {
-	sr   StoredResult
-	tier string
-	err  error
-}
-
-// execute returns the stored result for spec, through the cache
-// hierarchy: in-memory LRU, -cachedir disk, in-flight dedup, the peer
-// tier (another node's cache), the remote hook (cluster execution), and
-// finally a fresh run on the local pool behind admission control.
-// noRemote pins the cell to the local node — set for requests a
-// coordinator already forwarded here, so two misconfigured nodes pointed
-// at each other cannot bounce a cell forever (it also disables the peer
-// tier: a forwarded cell's receiver IS the ring owner). The tier return
-// names which tier served the request for the X-Selcache headers and
-// /metrics counters.
-func (s *Server) execute(ctx context.Context, spec Spec, o core.Options, class Class, noRemote bool) (StoredResult, string, error) {
-	key := spec.Key()
-	if sr, tier, ok := s.results.get(key); ok {
-		s.metrics.tierServed(tier)
-		return sr, tier, nil
-	}
-
-	s.fills.addWaiter(key)
-	defer s.fills.dropWaiter(key)
-
-	type outcome struct {
-		out    execOutcome
-		shared flight.Outcome
-	}
-	ch := make(chan outcome, 1)
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		out, how := s.group.Do(key, func() execOutcome {
-			return s.fill(key, spec, o, class, noRemote)
-		})
-		ch <- outcome{out: out, shared: how}
-	}()
-
-	select {
-	case out := <-ch:
-		if out.out.err != nil {
-			return StoredResult{}, "", out.out.err
-		}
-		if out.shared == flight.Waited {
-			s.metrics.runDeduped()
-		}
-		s.metrics.tierServed(out.out.tier)
-		return out.out.sr, out.out.tier, nil
-	case <-ctx.Done():
-		return StoredResult{}, "", errDeadline
-	}
-}
-
-// fill is the flight leader's path for one missing key: peer fetch, then
-// remote execution, then an admitted local run.
-func (s *Server) fill(key string, spec Spec, o core.Options, class Class, noRemote bool) execOutcome {
-	if s.peer != nil && !noRemote {
-		if sr, ok := s.peer(spec); ok {
-			s.results.put(key, sr)
-			return execOutcome{sr: sr, tier: TierPeer}
-		}
-	}
-	if s.remote != nil && !noRemote {
-		if sr, err := s.remote(spec); err == nil {
-			s.results.put(key, sr)
-			return execOutcome{sr: sr, tier: TierRemote}
-		} else if !errors.Is(err, ErrNotRouted) {
-			fmt.Fprintf(s.cfg.Log, "selcached: cell %s: remote execution failed, running locally: %v\n", key[:12], err)
-		}
-	}
-
-	// Local execution needs admission. The queue wait is not bounded by
-	// any single request's deadline — other waiters may arrive while we
-	// queue — but the fill tracker cancels it once every waiter is gone
-	// and no background credit remains, so abandoned fills stop occupying
-	// backlog the moment they stop being worth anything.
-	qctx, qcancel := context.WithCancel(context.Background())
-	defer qcancel()
-	s.fills.registerLeader(key, qcancel)
-	err := s.adm.acquire(qctx, class)
-	s.fills.unregisterLeader(key)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.fills.abortQueued()
-			return execOutcome{err: errAbandoned}
-		}
-		return execOutcome{err: err}
-	}
-	defer s.adm.release()
-	if !s.fills.beginRun(key) {
-		return execOutcome{err: errAbandoned}
-	}
-	defer s.fills.endRun(key)
-
-	w, _ := workloads.Resolve(spec.Workload)
-	s.metrics.runStarted()
-	var row experiments.Row
-	start := time.Now()
-	s.pool.Do(nil, func() {
-		row = s.runRow(w, o, s.traces)
-	})
-	elapsed := time.Since(start)
-	var events uint64
-	for v := range row.Stats {
-		// Zero the one nondeterministic field so identical
-		// requests yield byte-identical cached results.
-		row.Stats[v].WallNanos = 0
-		events += row.Stats[v].Instructions
-	}
-	s.metrics.runCompleted(elapsed, events)
-	sr := StoredResult{Spec: spec, Row: row}
-	s.results.put(key, sr)
-	return execOutcome{sr: sr, tier: TierComputed}
+		s.adm.slots, s.results.describe(), d)
 }
 
 // requestContext derives the deadline context for a request: timeout_ms
@@ -400,16 +274,16 @@ type MetricsSnapshot struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("metrics")
 	adm := s.adm.snapshot()
-	s.fills.fill(&adm)
+	s.fillMetrics(&adm)
 	snap := MetricsSnapshot{
 		UptimeSec:   time.Since(s.metrics.start).Seconds(),
-		Workers:     s.pool.Size(),
+		Workers:     s.adm.slots,
 		Requests:    s.metrics.snapshotRequests(),
 		ResultCache: s.results.snapshot(),
 		Tiers:       s.metrics.snapshotTiers(),
 		Admission:   adm,
 		TraceCache:  s.traces.Stats(),
-		Runs:        s.metrics.snapshotRuns(s.pool.InFlight()),
+		Runs:        s.metrics.snapshotRuns(),
 		Estimates:   s.metrics.snapshotEstimates(),
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -443,7 +317,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
 	defer cancel()
-	sr, tier, err := s.execute(ctx, spec, o, ClassRun, r.Header.Get(ForwardedHeader) != "")
+	c := s.claim(spec, o, ClassRun, r.Header.Get(ForwardedHeader) != "")
+	sr, tier, err := s.await(ctx, &c)
 	if err != nil {
 		s.failExec(w, err)
 		return
@@ -470,22 +345,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepPlan is one (config, mechanism) slice of a sweep: its resolved
-// cells plus the options they share, and — under the estimate planner —
-// the workloads pruned away before execution.
+// cells plus the options they share, the workloads estimate_top pruned
+// away before execution, and one claim per surviving cell.
 type sweepPlan struct {
 	spec0  Spec // config/mechanism identity (workload varies)
 	opts   core.Options
 	specs  []Spec
 	pruned []string
+	claims []claim
 }
 
-// cellOut is one executed cell's outcome inside a sweep.
-type cellOut struct {
-	sr  StoredResult
-	err error
-}
-
-// serveSweep resolves the request matrix, executes every cell through the
+// serveSweep resolves the request matrix, claims every cell through the
 // shared reuse tiers, and assembles per-(config, mechanism) sweeps with
 // the exact float-accumulation order of the batch drivers. Multi-cell
 // sweeps stream: each completed sweep slice is encoded and flushed as soon
@@ -505,10 +375,6 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 	}
 	if req.EstimateTop < 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("estimate_top must be non-negative, got %d", req.EstimateTop))
-		return
-	}
-	if req.EstimateTop > 0 && !s.cfg.EstimatePlan {
-		s.fail(w, http.StatusBadRequest, errors.New("estimate_top requires a server started with -estimate-plan"))
 		return
 	}
 
@@ -545,63 +411,44 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		}
 	}
 
-	// The estimate planner scores each distinct (workload, config) cell by
-	// predicted interest — the symbolic estimate costs microseconds, so
-	// scoring an entire matrix is cheaper than one simulated iteration.
-	// The scores prune each plan to its estimate_top most interesting
-	// workloads and order the launch below. When cells are merely
-	// reordered (no estimate_top) the response bytes are unchanged,
-	// because assembly below stays in request order.
-	var memo *interestMemo
-	if s.cfg.EstimatePlan {
-		memo = newInterestMemo()
-		if req.EstimateTop > 0 {
-			for pi := range plans {
-				plans[pi].prune(req.EstimateTop, memo)
-			}
+	// estimate_top prunes each plan to its most interesting workloads as
+	// scored by the symbolic estimator, which costs microseconds per cell
+	// — cheaper than one simulated iteration for the whole matrix.
+	if req.EstimateTop > 0 {
+		memo := newInterestMemo()
+		for pi := range plans {
+			plans[pi].prune(req.EstimateTop, memo)
 		}
 	}
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMillis)
 	defer cancel()
 
-	// Fan every cell out, most interesting first when planning; the pool
-	// bounds actual concurrency and the flight group collapses duplicates
-	// (a sweep listing the same workload twice costs one run).
-	type cellID struct{ pi, ci int }
-	var order []cellID
+	// Claim every cell before waiting on any: admission bounds how many
+	// fills run at once, and a sweep listing the same workload twice joins
+	// one fill twice (one run). Claims an early return leaves unawaited
+	// are dropped on the way out.
+	cells := 0
 	for pi := range plans {
-		for ci := range plans[pi].specs {
-			order = append(order, cellID{pi, ci})
+		for _, spec := range plans[pi].specs {
+			plans[pi].claims = append(plans[pi].claims, s.claim(spec, plans[pi].opts, ClassSweep, noRemote))
 		}
+		cells += len(plans[pi].specs)
 	}
-	if memo != nil {
-		score := func(id cellID) float64 {
-			return memo.interest(plans[id.pi].specs[id.ci], plans[id.pi].opts)
+	defer func() {
+		for pi := range plans {
+			for ci := range plans[pi].claims {
+				s.drop(&plans[pi].claims[ci])
+			}
 		}
-		sort.SliceStable(order, func(a, b int) bool { return score(order[a]) > score(order[b]) })
-	}
-	results := make([][]cellOut, len(plans))
-	done := make([]sync.WaitGroup, len(plans))
-	for pi := range plans {
-		results[pi] = make([]cellOut, len(plans[pi].specs))
-	}
-	for _, id := range order {
-		done[id.pi].Add(1)
-		go func(pi, ci int) {
-			defer done[pi].Done()
-			sr, _, err := s.execute(ctx, plans[pi].specs[ci], plans[pi].opts, ClassSweep, noRemote)
-			results[pi][ci] = cellOut{sr: sr, err: err}
-		}(id.pi, id.ci)
-	}
+	}()
 
 	// Single-cell sweeps keep the buffered write (nothing to overlap);
 	// anything larger streams sweep slices as they complete.
-	if len(order) <= 1 {
+	if cells <= 1 {
 		resp := SweepResponse{}
 		for pi := range plans {
-			done[pi].Wait()
-			sres, err := assembleSweep(plans[pi], results[pi])
+			sres, err := s.awaitSweep(ctx, &plans[pi])
 			if err != nil {
 				s.failExec(w, err)
 				return
@@ -614,8 +461,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 
 	wrote := false
 	for pi := range plans {
-		done[pi].Wait()
-		sres, err := assembleSweep(plans[pi], results[pi])
+		sres, err := s.awaitSweep(ctx, &plans[pi])
 		var b []byte
 		if err == nil {
 			b, err = json.Marshal(sres)
@@ -675,18 +521,19 @@ func (p *sweepPlan) prune(top int, memo *interestMemo) {
 	p.specs = kept
 }
 
-// assembleSweep renders one finished (config, mechanism) slice with the
-// exact float-accumulation order of the batch drivers.
-func assembleSweep(plan sweepPlan, outs []cellOut) (SweepResult, error) {
+// awaitSweep waits for one (config, mechanism) slice's cells in request
+// order and renders it with the exact float-accumulation order of the
+// batch drivers; the first failed cell fails the slice.
+func (s *Server) awaitSweep(ctx context.Context, plan *sweepPlan) (SweepResult, error) {
 	rows := make([]experiments.Row, len(plan.specs))
 	sres := SweepResult{Config: plan.spec0.Config, Mechanism: plan.spec0.Mechanism, Pruned: plan.pruned}
-	for ci := range plan.specs {
-		out := outs[ci]
-		if out.err != nil {
-			return SweepResult{}, out.err
+	for ci := range plan.claims {
+		sr, _, err := s.await(ctx, &plan.claims[ci])
+		if err != nil {
+			return SweepResult{}, err
 		}
-		rows[ci] = out.sr.Row
-		sres.Rows = append(sres.Rows, out.sr.Response(""))
+		rows[ci] = sr.Row
+		sres.Rows = append(sres.Rows, sr.Response(""))
 	}
 	sw := experiments.Assemble(plan.opts, rows)
 	sres.AvgImprovementPct = make(map[string]float64, core.NumVersions)
