@@ -2,7 +2,7 @@
 // evaluation (run with `go test -bench=. -benchmem`):
 //
 //	BenchmarkTable2            benchmark characteristics (Table 2)
-//	BenchmarkFigure4..9        per-benchmark improvements, six machines
+//	BenchmarkFigures           per-benchmark improvements, six machines (Figures 4–9)
 //	BenchmarkTable3            average improvements, both mechanisms
 //	BenchmarkPhaseAblation     frozen- vs learning-while-off MAT tables
 //	BenchmarkThresholdSweep    region-detection threshold sensitivity
@@ -47,24 +47,19 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-func benchFigure(b *testing.B, f experiments.FigureID) {
+func BenchmarkFigures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sw := experiments.RunFigure(f, experiments.Plan{})
-		once(f.Name(), func() {
-			report.WriteFigure(os.Stdout, f.Name(), sw)
-			if f == experiments.Figure4 {
-				report.WriteClassAverages(os.Stdout, sw)
+		sweeps := experiments.FigureSweeps(experiments.Plan{})
+		once("figures", func() {
+			for _, f := range experiments.Figures() {
+				report.WriteFigure(os.Stdout, f.Name(), sweeps[f])
+				if f == experiments.Figure4 {
+					report.WriteClassAverages(os.Stdout, sweeps[f])
+				}
 			}
 		})
 	}
 }
-
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, experiments.Figure4) }
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, experiments.Figure5) }
-func BenchmarkFigure6(b *testing.B) { benchFigure(b, experiments.Figure6) }
-func BenchmarkFigure7(b *testing.B) { benchFigure(b, experiments.Figure7) }
-func BenchmarkFigure8(b *testing.B) { benchFigure(b, experiments.Figure8) }
-func BenchmarkFigure9(b *testing.B) { benchFigure(b, experiments.Figure9) }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -53,19 +53,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	cfg, ok := configByName(*configSel)
+	cfg, ok := sim.ConfigByName(*configSel)
 	if !ok {
 		return fmt.Errorf("unknown config %q", *configSel)
 	}
 	o := core.DefaultOptions()
 	o.Machine = cfg
 	o.Classify = *classify
-	switch *mech {
-	case "bypass":
-		o.Mechanism = sim.HWBypass
-	case "victim":
-		o.Mechanism = sim.HWVictim
-	default:
+	if o.Mechanism, ok = sim.MechanismByName(*mech); !ok {
 		return fmt.Errorf("unknown mechanism %q", *mech)
 	}
 
@@ -116,15 +111,6 @@ func versionKnown(sel string) bool {
 		}
 	}
 	return false
-}
-
-func configByName(name string) (sim.Config, bool) {
-	for _, c := range sim.ExperimentConfigs() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return sim.Config{}, false
 }
 
 func printResult(w io.Writer, wl workloads.Workload, r, base core.Result) {

@@ -311,11 +311,8 @@ func familiesByName(names []string) ([]synth.Family, error) {
 }
 
 func selectMechanism(s string) (sim.HWKind, error) {
-	switch s {
-	case "bypass":
-		return sim.HWBypass, nil
-	case "victim":
-		return sim.HWVictim, nil
+	if k, ok := sim.MechanismByName(s); ok {
+		return k, nil
 	}
 	return sim.HWNone, fmt.Errorf("unknown mechanism %q (want bypass|victim)", s)
 }

@@ -8,12 +8,12 @@
 //
 // Sweeps fan out across a worker pool (-workers; 0 means one per CPU, 1
 // forces the serial path) with deterministic assembly, so the output is
-// identical at any worker count. Each distinct program variant is
-// interpreted once into an event trace and replayed across every machine
-// configuration; -tracedir persists those traces as .sctrace files so
-// repeated runs skip the interpreter entirely. -cpuprofile writes a pprof
-// profile of the run. Output goes to stdout; EXPERIMENTS.md records a
-// reference run.
+// identical at any worker count; the figures reuse Table 3's sweeps. Each
+// distinct program variant is interpreted once into an event trace and
+// replayed across every machine configuration; -tracedir persists those
+// traces as .sctrace files so repeated runs skip the interpreter entirely.
+// -cpuprofile writes a pprof profile of the run. Output goes to stdout;
+// EXPERIMENTS.md records a reference run.
 package main
 
 import (
@@ -70,13 +70,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// defaults the mod stays nil and output is byte-identical to the
 	// committed reference.
 	var mod experiments.OptionMod
-	var pol sim.PolicyKind
-	switch *policySel {
-	case "lru":
-		pol = sim.PolicyLRU
-	case "ehc":
-		pol = sim.PolicyEHC
-	default:
+	pol, ok := sim.PolicyByName(*policySel)
+	if !ok {
 		return fmt.Errorf("unknown -policy %q (lru|ehc)", *policySel)
 	}
 	if pol != sim.PolicyLRU || *waymemo || *energyOn {
@@ -110,10 +105,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		report.WriteTable2(stdout, rows)
 	}
+	// One sweep matrix over the mechanisms -run needs; figure f is the
+	// bypass sweep that leads configuration f's sweeps.
+	var table3 []experiments.Table3Row
+	var sweeps []experiments.Sweep
+	if doTable3 {
+		table3, sweeps = experiments.Table3(plan)
+	} else if doFigures {
+		sweeps = experiments.FigureSweeps(plan)
+	}
+	events += experiments.Events(sweeps)
 	if doFigures {
 		for _, f := range experiments.Figures() {
-			sw := experiments.RunFigure(f, plan)
-			events += sw.Events()
+			sw := sweeps[int(f)*len(sweeps)/len(experiments.Figures())]
 			report.WriteFigure(stdout, f.Name(), sw)
 			if *energyOn {
 				report.WriteEnergy(stdout, sw)
@@ -124,11 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if doTable3 {
-		rows, sweeps := experiments.Table3(plan)
-		for _, sw := range sweeps {
-			events += sw.Events()
-		}
-		report.WriteTable3(stdout, rows)
+		report.WriteTable3(stdout, table3)
 	}
 	elapsed := time.Since(start)
 

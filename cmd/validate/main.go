@@ -182,13 +182,11 @@ func selectWorkloads(csv string, short bool) ([]workloads.Workload, error) {
 }
 
 func selectMechanisms(s string) ([]sim.HWKind, error) {
-	switch s {
-	case "bypass":
-		return []sim.HWKind{sim.HWBypass}, nil
-	case "victim":
-		return []sim.HWKind{sim.HWVictim}, nil
-	case "both":
+	if s == "both" {
 		return []sim.HWKind{sim.HWBypass, sim.HWVictim}, nil
+	}
+	if k, ok := sim.MechanismByName(s); ok {
+		return []sim.HWKind{k}, nil
 	}
 	return nil, fmt.Errorf("unknown -mech %q (want bypass|victim|both)", s)
 }
@@ -203,13 +201,11 @@ func selectPolicies(s string, short bool) ([]sim.PolicyKind, error) {
 			s = "lru"
 		}
 	}
-	switch s {
-	case "lru":
-		return []sim.PolicyKind{sim.PolicyLRU}, nil
-	case "ehc":
-		return []sim.PolicyKind{sim.PolicyEHC}, nil
-	case "both":
+	if s == "both" {
 		return []sim.PolicyKind{sim.PolicyLRU, sim.PolicyEHC}, nil
+	}
+	if k, ok := sim.PolicyByName(s); ok {
+		return []sim.PolicyKind{k}, nil
 	}
 	return nil, fmt.Errorf("unknown -policy %q (want lru|ehc|both)", s)
 }

@@ -15,8 +15,8 @@ import (
 // zeroed). Cycle counts, every cache/TLB/MAT counter, and the float cycle
 // accumulation order are all covered by the struct compare.
 //
-// Under -short (the -race CI leg) it spot-checks one workload per access
-// class; the full matrix runs 13 × 5 cells.
+// Under -short it spot-checks one workload per access class; the full
+// matrix (13 × 5 cells) runs otherwise, the race-detector CI job included.
 func TestBatchedReplayEquivalence(t *testing.T) {
 	ws := workloads.All()
 	if testing.Short() {

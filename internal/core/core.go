@@ -98,10 +98,6 @@ type Options struct {
 	// MAT overrides the bypass-mechanism parameters (zero value: the
 	// defaults from mat.DefaultConfig).
 	MAT mat.Config
-	// L1VictimEntries and L2VictimEntries override the victim-cache
-	// sizes (zero: the paper's 64 and 512).
-	L1VictimEntries int
-	L2VictimEntries int
 	// Policy selects the cache replacement policy for every version
 	// (zero: true LRU). Unlike Mechanism this is a machine property, so
 	// it applies to base and pure-software runs too.
@@ -182,14 +178,12 @@ func SimOptions(v Version, o Options) sim.Options {
 // simOptions maps a version to machine-level options.
 func simOptions(v Version, o Options) sim.Options {
 	so := sim.Options{
-		Classify:        o.Classify,
-		UpdateWhenOff:   o.UpdateWhenOff,
-		MAT:             o.MAT,
-		L1VictimEntries: o.L1VictimEntries,
-		L2VictimEntries: o.L2VictimEntries,
-		Policy:          o.Policy,
-		WayMemo:         o.WayMemo,
-		Energy:          o.Energy,
+		Classify:      o.Classify,
+		UpdateWhenOff: o.UpdateWhenOff,
+		MAT:           o.MAT,
+		Policy:        o.Policy,
+		WayMemo:       o.WayMemo,
+		Energy:        o.Energy,
 	}
 	switch v {
 	case Base, PureSoftware:
@@ -204,6 +198,15 @@ func simOptions(v Version, o Options) sim.Options {
 		so.HonorMarkers = true
 	}
 	return so
+}
+
+// MechanismBlind reports whether version v simulates the same run under
+// every hardware mechanism: its machine options do not depend on
+// Options.Mechanism (Base and PureSoftware attach none), and no event
+// stream depends on the mechanism either. A sweep that crosses versions
+// with mechanisms runs such a version once per configuration.
+func (v Version) MechanismBlind() bool {
+	return simOptions(v, Options{Mechanism: sim.HWBypass}) == simOptions(v, Options{Mechanism: sim.HWVictim})
 }
 
 // Improvement returns the percentage cycle improvement of r over base:

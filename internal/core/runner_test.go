@@ -47,3 +47,41 @@ func TestRunnerMatchesFreshMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestMechanismBlindRunsMatch is the premise the sweep matrix shares runs
+// on: a mechanism-blind version replays to equal statistics under both
+// mechanisms, for one kernel per class on every experiment configuration,
+// at the defaults and with EHC, the way memo and the energy model on. Base
+// and PureSoftware must be the blind ones; PureHardware and Combined, whose
+// mechanism is always on, must tell the two mechanisms apart.
+func TestMechanismBlindRunsMatch(t *testing.T) {
+	for _, v := range Versions() {
+		if want := v == Base || v == PureSoftware; v.MechanismBlind() != want {
+			t.Errorf("%v: MechanismBlind() = %v, want %v", v, !want, want)
+		}
+	}
+	var r Runner
+	for _, w := range workloads.TinyGolden() {
+		for _, cfg := range sim.ExperimentConfigs() {
+			for _, extras := range []bool{false, true} {
+				o := DefaultOptions()
+				o.Machine = cfg
+				if extras {
+					o.Policy, o.WayMemo, o.Energy = sim.PolicyEHC, true, true
+				}
+				for _, v := range []Version{Base, PureSoftware, PureHardware, Combined} {
+					tr, _, _ := RecordTrace(w.Build, v, o)
+					o.Mechanism = sim.HWBypass
+					bp := r.Replay(tr, v, o).Sim
+					o.Mechanism = sim.HWVictim
+					vc := r.Replay(tr, v, o).Sim
+					bp.WallNanos, vc.WallNanos = 0, 0
+					if (bp == vc) != v.MechanismBlind() {
+						t.Errorf("%s/%s/extras=%v/%v: bypass and victim runs equal = %v\nbypass: %+v\nvictim: %+v",
+							w.Name, cfg.Name, extras, v, bp == vc, bp, vc)
+					}
+				}
+			}
+		}
+	}
+}

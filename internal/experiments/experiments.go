@@ -4,15 +4,14 @@
 // (Figures 4–9), the average-improvement summary across both hardware
 // mechanisms (Table 3), and the ablation studies DESIGN.md calls out.
 //
-// Every sweep decomposes into independent cells — one benchmark through all
-// five versions under one configuration and mechanism — that fan out across
-// the internal/parallel worker pool. Results are assembled in cell order,
-// so the output is byte-identical to a serial run (docs/PERFORMANCE.md
-// states the guarantee; TestParallelSweepMatchesSerial enforces it). Each
-// worker holds one core.Runner, so a sweep builds one machine per worker and
-// resets it between runs. There is one entry point per table or figure,
-// and each takes a Plan: the worker count, a shared trace cache and an
-// option adjustment, whose zero values are the defaults.
+// RunSweep, the figures and Table 3 are one sweep matrix, a sweep per
+// configuration and mechanism, fanned out over internal/parallel one
+// (configuration, workload) cell at a time. A cell runs the mechanism-blind
+// Base and PureSoftware once: Table 3 is 624 runs, and cmd/experiments,
+// printing the figures from Table 3's bypass sweeps, 637. Cells assemble in
+// order, so output is byte-identical to a serial run (docs/PERFORMANCE.md).
+// Each worker holds one core.Runner. Every entry point takes a Plan: worker
+// count, shared trace cache and option adjustment, zero values the defaults.
 package experiments
 
 import (
@@ -66,13 +65,18 @@ type Sweep struct {
 	ClassCount [workloads.NumClasses]int
 }
 
-// Events sums the simulated instruction events across every run of the
-// sweep (throughput reporting).
-func (sw Sweep) Events() uint64 {
+// Events sums the instruction events simulated behind a sweep matrix's
+// sweeps; adjacent sweeps of one configuration share mechanism-blind runs.
+func Events(sweeps []Sweep) uint64 {
 	var n uint64
-	for i := range sw.Rows {
-		for v := range sw.Rows[i].Stats {
-			n += sw.Rows[i].Stats[v].Instructions
+	for i, sw := range sweeps {
+		shared := i > 0 && sweeps[i-1].Config == sw.Config
+		for _, row := range sw.Rows {
+			for v, st := range row.Stats {
+				if !shared || !core.Version(v).MechanismBlind() {
+					n += st.Instructions
+				}
+			}
 		}
 	}
 	return n
@@ -86,23 +90,32 @@ func (sw Sweep) Events() uint64 {
 // byte-identical to a live core.Run (modulo the documented WallNanos
 // nondeterminism).
 func RunRow(w workloads.Workload, o core.Options, tc *TraceCache) Row {
-	return runRow(w, o, tc.orNew(), new(core.Runner))
+	var row [1]Row
+	runCell(w, []core.Options{o}, tc.orNew(), new(core.Runner), row[:], 1)
+	return row[0]
 }
 
-// runRow is RunRow on the worker's runner; tc must be non-nil.
-func runRow(w workloads.Workload, o core.Options, tc *TraceCache, r *core.Runner) Row {
-	row := Row{Benchmark: w.Name, Class: w.Class}
-	var base core.Result
-	for _, v := range core.Versions() {
-		res := r.Replay(tc.Get(w, v, o), v, o)
-		if v == core.Base {
-			base = res
+// runCell runs one (configuration, workload) cell on r: w under opts[j],
+// one per mechanism, into rows[j*stride]. Mechanism-blind versions run
+// under opts[0] only and later rows share them. tc must be non-nil.
+func runCell(w workloads.Workload, opts []core.Options, tc *TraceCache, r *core.Runner, rows []Row, stride int) {
+	for j, o := range opts {
+		row := &rows[j*stride]
+		*row = Row{Benchmark: w.Name, Class: w.Class}
+		var base core.Result
+		for _, v := range core.Versions() {
+			res := core.Result{Sim: rows[0].Stats[v]} // the first row's, if shared
+			if j == 0 || !v.MechanismBlind() {
+				res = r.Replay(tc.Get(w, v, o), v, o)
+			}
+			if v == core.Base {
+				base = res
+			}
+			row.Cycles[v] = res.Sim.Cycles
+			row.Improv[v] = core.Improvement(base, res)
+			row.Stats[v] = res.Sim
 		}
-		row.Cycles[v] = res.Sim.Cycles
-		row.Improv[v] = core.Improvement(base, res)
-		row.Stats[v] = res.Sim
 	}
-	return row
 }
 
 // Assemble computes the sweep aggregates (overall and per-class average
@@ -138,17 +151,42 @@ func Assemble(o core.Options, rows []Row) Sweep {
 }
 
 // RunSweep simulates the given workloads (paper order when ws is nil)
-// through all five versions under o, adjusted by p.Mod.
+// through all five versions under o, adjusted by p.Mod: the sweep matrix's
+// one-configuration, one-mechanism case.
 func RunSweep(o core.Options, ws []workloads.Workload, p Plan) Sweep {
+	return sweepMatrix(o, []sim.Config{o.Machine}, []sim.HWKind{o.Mechanism}, ws, p)[0]
+}
+
+// sweepMatrix runs a sweep of ws (nil: all) under o, adjusted by p.Mod,
+// for each configuration and mechanism, in one fan-out of cells. The sweeps
+// come back configuration-major, in mechs order within a configuration.
+func sweepMatrix(o core.Options, cfgs []sim.Config, mechs []sim.HWKind, ws []workloads.Workload, p Plan) []Sweep {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	p.Mod.apply(&o)
 	tc := p.Cache.orNew()
-	rows := parallel.MapWith(p.Workers, len(ws), func(r *core.Runner, i int) Row {
-		return runRow(ws[i], o, tc, r)
+	opts := make([]core.Options, 0, len(cfgs)*len(mechs))
+	for _, cfg := range cfgs {
+		for _, mech := range mechs {
+			so := o
+			so.Machine, so.Mechanism = cfg, mech
+			p.Mod.apply(&so)
+			opts = append(opts, so)
+		}
+	}
+	// Cells run workload-major, so the heaviest (li's) are not in the tail;
+	// rows are sweep-major, a cell's rows len(ws) apart.
+	nm, rows := len(mechs), make([]Row, len(opts)*len(ws))
+	parallel.MapWith(p.Workers, len(cfgs)*len(ws), func(r *core.Runner, i int) struct{} {
+		k, c := i/len(cfgs), i%len(cfgs)
+		runCell(ws[k], opts[c*nm:(c+1)*nm], tc, r, rows[c*nm*len(ws)+k:], len(ws))
+		return struct{}{}
 	})
-	return Assemble(o, rows)
+	sweeps := make([]Sweep, len(opts))
+	for j := range opts {
+		sweeps[j] = Assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
+	}
+	return sweeps
 }
 
 // FigureID identifies one of the paper's per-benchmark figures.
@@ -168,11 +206,6 @@ const (
 	// Figure9 is the 8-way L1 configuration.
 	Figure9
 )
-
-// Config returns the machine configuration the figure uses.
-func (f FigureID) Config() sim.Config {
-	return sim.ExperimentConfigs()[int(f)]
-}
 
 // Name returns the paper's figure caption.
 func (f FigureID) Name() string {
@@ -204,7 +237,8 @@ func Figures() []FigureID {
 // thread through it. nil means no adjustment. Mods must only touch
 // machine-level knobs (replacement policy, way memo, energy, mechanism
 // tables) — the recorded event streams do not depend on those, so the
-// trace cache stays shared across modded and unmodded runs.
+// trace cache stays shared — and must not read the mechanism (sweeps of
+// one configuration share their mechanism-blind runs).
 type OptionMod func(*core.Options)
 
 func (m OptionMod) apply(o *core.Options) {
@@ -213,15 +247,10 @@ func (m OptionMod) apply(o *core.Options) {
 	}
 }
 
-// RunFigure reproduces one of Figures 4–9 (cache bypassing as the hardware
-// mechanism, per Section 5.1). The figures differ only in machine
-// configuration, so one shared p.Cache lets all six replay the same 39
-// recorded streams.
-func RunFigure(f FigureID, p Plan) Sweep {
-	o := core.DefaultOptions()
-	o.Machine = f.Config()
-	o.Mechanism = sim.HWBypass
-	return RunSweep(o, nil, p)
+// FigureSweeps reproduces Figures 4–9, indexed by FigureID: the sweep matrix
+// under cache bypassing (Section 5.1), 390 runs; Table 3's bypass sweeps.
+func FigureSweeps(p Plan) []Sweep {
+	return sweepMatrix(core.DefaultOptions(), sim.ExperimentConfigs(), []sim.HWKind{sim.HWBypass}, nil, p)
 }
 
 // Table2Row holds one benchmark's characteristics under the base machine
@@ -277,47 +306,18 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the average-improvement summary for every experiment
-// configuration and both hardware mechanisms. It also returns the
-// underlying sweeps, interleaved bypass/victim per configuration
-// (throughput reporting and tests).
+// configuration and both hardware mechanisms, and the underlying sweeps,
+// bypass then victim per configuration (the bypass ones are Figures 4–9).
 func Table3(p Plan) ([]Table3Row, []Sweep) {
 	return table3(p, nil)
 }
 
-// table3 flattens the full (configuration × mechanism × benchmark) space —
-// 6 × 2 × 13 = 156 cells by default — into one fan-out, so the pool stays
-// saturated across sweep boundaries instead of draining twelve times.
-// Every cell replays cached streams: the 780 version runs behind the
-// default table reduce to 39 recordings (13 benchmarks × 3 stream classes;
-// nothing in the key varies across configurations or mechanisms). ws
-// overrides the benchmark list for tests.
+// table3 is the sweep matrix over both mechanisms: 78 (configuration,
+// workload) cells of 8 runs, 624 in all (637 with Table 2's), replaying 39
+// recorded streams. ws overrides the benchmark list for tests.
 func table3(p Plan, ws []workloads.Workload) ([]Table3Row, []Sweep) {
-	if ws == nil {
-		ws = workloads.All()
-	}
-	tc := p.Cache.orNew()
 	cfgs := sim.ExperimentConfigs()
-	// Sweep order matches the serial reference: per configuration, bypass
-	// then victim.
-	opts := make([]core.Options, 0, 2*len(cfgs))
-	for _, cfg := range cfgs {
-		for _, mech := range []sim.HWKind{sim.HWBypass, sim.HWVictim} {
-			o := core.DefaultOptions()
-			o.Machine = cfg
-			o.Mechanism = mech
-			p.Mod.apply(&o)
-			opts = append(opts, o)
-		}
-	}
-
-	rows := parallel.MapWith(p.Workers, len(opts)*len(ws), func(r *core.Runner, i int) Row {
-		return runRow(ws[i%len(ws)], opts[i/len(ws)], tc, r)
-	})
-
-	sweeps := make([]Sweep, len(opts))
-	for j := range opts {
-		sweeps[j] = Assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
-	}
+	sweeps := sweepMatrix(core.DefaultOptions(), cfgs, []sim.HWKind{sim.HWBypass, sim.HWVictim}, ws, p)
 	out := make([]Table3Row, 0, len(cfgs))
 	for ci, cfg := range cfgs {
 		bp, vc := sweeps[2*ci], sweeps[2*ci+1]

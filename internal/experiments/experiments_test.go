@@ -71,30 +71,28 @@ func TestFigureIDs(t *testing.T) {
 			t.Errorf("duplicate figure name %q", name)
 		}
 		seen[name] = true
-		if got := f.Config(); got.Name != cfgs[i].Name {
-			t.Errorf("figure %d config %q, want %q", f, got.Name, cfgs[i].Name)
-		}
 	}
 	if FigureID(99).Name() != "unknown figure" {
 		t.Error("out-of-range FigureID must name itself unknown")
 	}
-	// The specific machine deltas the captions promise.
-	if Figure4.Config().Name != sim.Base().Name {
+	// FigureSweeps indexes by FigureID over ExperimentConfigs: the
+	// specific machine deltas the captions promise.
+	if cfgs[Figure4].Name != sim.Base().Name {
 		t.Error("Figure4 is not the base machine")
 	}
-	if Figure5.Config().MemLat != 200 {
+	if cfgs[Figure5].MemLat != 200 {
 		t.Fatal("Figure5 config wrong")
 	}
-	if Figure6.Config().L2.Size != 1<<20 {
+	if cfgs[Figure6].L2.Size != 1<<20 {
 		t.Fatal("Figure6 config wrong")
 	}
-	if Figure7.Config().L1.Size != 64<<10 {
+	if cfgs[Figure7].L1.Size != 64<<10 {
 		t.Fatal("Figure7 config wrong")
 	}
-	if Figure8.Config().L2.Assoc != 8 {
+	if cfgs[Figure8].L2.Assoc != 8 {
 		t.Fatal("Figure8 config wrong")
 	}
-	if Figure9.Config().L1.Assoc != 8 {
+	if cfgs[Figure9].L1.Assoc != 8 {
 		t.Fatal("Figure9 config wrong")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"selcache/internal/core"
 	"selcache/internal/parallel"
 	"selcache/internal/sim"
+	"selcache/internal/workloads"
 )
 
 // normalize zeroes the host-timing field of every run so sweeps can be
@@ -91,7 +92,7 @@ func TestTable3Shapes(t *testing.T) {
 		if vc.Avg[core.Selective] != r.SelectiveVictim {
 			t.Errorf("row %d selective/victim %.4f != sweep avg %.4f", i, r.SelectiveVictim, vc.Avg[core.Selective])
 		}
-		if bp.Events() == 0 {
+		if Events([]Sweep{bp}) == 0 {
 			t.Errorf("row %d: zero simulated events", i)
 		}
 	}
@@ -108,5 +109,42 @@ func TestSweepWallClockFilled(t *testing.T) {
 				t.Errorf("%s version %v: EventsPerSecond %.1f", row.Benchmark, core.Version(v), st.EventsPerSecond())
 			}
 		}
+	}
+}
+
+// TestTable3MatchesRunRow: every row of the sweep matrix, shared
+// mechanism-blind runs included, equals RunRow for its (configuration,
+// mechanism). On a fresh trace cache the matrix makes exactly 8 Gets (one
+// per simulation) per (configuration, workload) cell, and Events counts
+// each simulated run once.
+func TestTable3MatchesRunRow(t *testing.T) {
+	ws := workloads.TinyGolden()
+	tc := NewTraceCache("")
+	_, sweeps := table3(Plan{Cache: tc}, ws)
+	if st, want := tc.Stats(), 8*len(sim.ExperimentConfigs())*len(ws); st.Hits+st.Misses != uint64(want) {
+		t.Errorf("table3 made %d trace-cache Gets, want %d", st.Hits+st.Misses, want)
+	}
+	var events uint64
+	for _, sw := range sweeps {
+		o := core.DefaultOptions()
+		o.Machine, o.Mechanism = sw.Config, sw.Mechanism
+		for i, row := range sw.Rows {
+			for v, st := range row.Stats {
+				if sw.Mechanism == sim.HWBypass || !core.Version(v).MechanismBlind() {
+					events += st.Instructions
+				}
+			}
+			want := RunRow(ws[i], o, tc)
+			for v := range row.Stats {
+				row.Stats[v].WallNanos, want.Stats[v].WallNanos = 0, 0
+			}
+			if row != want {
+				t.Errorf("%s/%v/%s: matrix row differs from RunRow\nmatrix: %+v\nRunRow: %+v",
+					sw.Config.Name, sw.Mechanism, row.Benchmark, row, want)
+			}
+		}
+	}
+	if got := Events(sweeps); got != events {
+		t.Errorf("Events = %d, want %d (each simulated run once)", got, events)
 	}
 }

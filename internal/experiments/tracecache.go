@@ -82,8 +82,8 @@ type TraceCacheStats struct {
 // stream at once, exactly one records it and the rest block on that
 // in-flight recording rather than repeating it.
 //
-// Streams are retained for the cache's lifetime (a full Table 3 keeps all
-// 39 streams, tens of megabytes — noise next to the simulation itself).
+// Streams are retained for the cache's lifetime: a full Table 3 keeps all
+// 39 streams, 705 MB as packed words (310.7 MB encoded, the Bytes figure).
 // With a persistence directory, streams are additionally written as
 // .sctrace files and reused by later runs; the directory is trusted, so
 // delete it after changing workloads, the optimizer, or region detection

@@ -109,7 +109,7 @@ func ResolveSpec(req RunRequest) (Spec, core.Options, error) {
 	if _, ok := workloads.Resolve(spec.Workload); !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown workload %q", spec.Workload)
 	}
-	cfg, ok := configByName(spec.Config)
+	cfg, ok := sim.ConfigByName(spec.Config)
 	if !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown config %q", spec.Config)
 	}
@@ -117,20 +117,10 @@ func ResolveSpec(req RunRequest) (Spec, core.Options, error) {
 	o.Machine = cfg
 	o.Classify = spec.Classify
 	o.UpdateWhenOff = spec.UpdateWhenOff
-	switch spec.Mechanism {
-	case "bypass":
-		o.Mechanism = sim.HWBypass
-	case "victim":
-		o.Mechanism = sim.HWVictim
-	default:
+	if o.Mechanism, ok = sim.MechanismByName(spec.Mechanism); !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown mechanism %q", spec.Mechanism)
 	}
-	switch spec.Policy {
-	case "lru":
-		o.Policy = sim.PolicyLRU
-	case "ehc":
-		o.Policy = sim.PolicyEHC
-	default:
+	if o.Policy, ok = sim.PolicyByName(spec.Policy); !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown policy %q", spec.Policy)
 	}
 	o.WayMemo = spec.WayMemo
@@ -163,15 +153,6 @@ func (s Spec) Key() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-func configByName(name string) (sim.Config, bool) {
-	for _, c := range sim.ExperimentConfigs() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return sim.Config{}, false
 }
 
 // VersionResult is one simulated version's share of a run response.

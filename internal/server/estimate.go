@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"selcache/internal/core"
+	"selcache/internal/sim"
 	"selcache/internal/workloads"
 )
 
@@ -65,7 +66,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown workload %q", req.Workload))
 		return
 	}
-	cfg, ok := configByName(req.Config)
+	cfg, ok := sim.ConfigByName(req.Config)
 	if !ok {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown config %q", req.Config))
 		return

@@ -137,6 +137,17 @@ func ExperimentConfigs() []Config {
 	}
 }
 
+// ConfigByName returns the experiment configuration (ExperimentConfigs)
+// whose Name is name.
+func ConfigByName(name string) (Config, bool) {
+	for _, c := range ExperimentConfigs() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // HWKind selects the hardware locality-optimization mechanism under test.
 type HWKind int
 
@@ -166,6 +177,18 @@ func (k HWKind) String() string {
 	}
 }
 
+// MechanismByName is the inverse of String over the selectable mechanisms:
+// "bypass" or "victim". HWNone is what Base and PureSoftware runs get, not
+// a choice, so "none" is rejected.
+func MechanismByName(name string) (HWKind, bool) {
+	for _, k := range [...]HWKind{HWBypass, HWVictim} {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return HWNone, false
+}
+
 // PolicyKind selects the cache replacement policy.
 type PolicyKind int
 
@@ -186,6 +209,16 @@ func (k PolicyKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// PolicyByName is the inverse of String: "lru" or "ehc".
+func PolicyByName(name string) (PolicyKind, bool) {
+	for _, k := range [...]PolicyKind{PolicyLRU, PolicyEHC} {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return PolicyLRU, false
 }
 
 // Options configure one simulation run.

@@ -227,6 +227,37 @@ func TestExperimentConfigs(t *testing.T) {
 	}
 }
 
+// TestByNameInvertsNames: each lookup returns the value whose name it is
+// given and rejects everything else; HWNone is not selectable by name.
+func TestByNameInvertsNames(t *testing.T) {
+	for _, c := range ExperimentConfigs() {
+		if got, ok := ConfigByName(c.Name); !ok || got != c {
+			t.Errorf("ConfigByName(%q) = %q, %v", c.Name, got.Name, ok)
+		}
+	}
+	for _, k := range []HWKind{HWBypass, HWVictim} {
+		if got, ok := MechanismByName(k.String()); !ok || got != k {
+			t.Errorf("MechanismByName(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	for _, k := range []PolicyKind{PolicyLRU, PolicyEHC} {
+		if got, ok := PolicyByName(k.String()); !ok || got != k {
+			t.Errorf("PolicyByName(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	for _, bad := range []string{"", "none", "unknown", "Bypass", "both"} {
+		if _, ok := ConfigByName(bad); ok {
+			t.Errorf("ConfigByName(%q) accepted", bad)
+		}
+		if _, ok := MechanismByName(bad); ok {
+			t.Errorf("MechanismByName(%q) accepted", bad)
+		}
+		if _, ok := PolicyByName(bad); ok {
+			t.Errorf("PolicyByName(%q) accepted", bad)
+		}
+	}
+}
+
 func TestFinishIdempotentCycles(t *testing.T) {
 	m := newM(HWNone, false)
 	m.Access(0x5000, 8, false)

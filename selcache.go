@@ -113,7 +113,5 @@ func Table3() []experiments.Table3Row {
 	return rows
 }
 
-// RunFigure reproduces one of Figures 4–9.
-func RunFigure(f experiments.FigureID) experiments.Sweep {
-	return experiments.RunFigure(f, experiments.Plan{})
-}
+// Figures reproduces Figures 4–9, indexed by experiments.FigureID.
+func Figures() []experiments.Sweep { return experiments.FigureSweeps(experiments.Plan{}) }
