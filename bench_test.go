@@ -194,7 +194,7 @@ func BenchmarkAccessHotPath(b *testing.B) {
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	m := sim.NewMachine(sim.Base(), sim.Options{Mechanism: sim.HWBypass, InitiallyOn: true})
 	blk := trace.NewBlock(trace.DefaultBlockEvents)
-	words := blk.Buf()
+	words := make([]uint64, blk.Cap())
 	x := uint64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -207,7 +207,7 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 			x = x*6364136223846793005 + 1442695040888963407
 			words[i] = mem.AccessWord(mem.Addr(x>>40), mem.AccessTag(8, (done+i)&7 == 0))
 		}
-		blk.SetLen(n)
+		blk.SetWindow(words[:n])
 		m.EmitBlock(blk)
 		done += n
 	}

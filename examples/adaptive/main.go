@@ -9,24 +9,18 @@ package main
 import (
 	"fmt"
 
-	"selcache"
 	"selcache/internal/core"
 	"selcache/internal/experiments"
-	"selcache/internal/sim"
 )
 
 func main() {
+	// One sweep matrix: the per-configuration averages and, as its first
+	// two sweeps, the base machine's bypass and victim sweeps.
+	rows, sweeps := experiments.Table3(experiments.Plan{})
+	bypass, victim := sweeps[0], sweeps[1]
+
 	fmt.Println("selective scheme, bypass vs victim mechanism, base machine:")
 	fmt.Printf("%-10s %12s %12s %8s\n", "benchmark", "sel/bypass", "sel/victim", "winner")
-
-	ob := core.DefaultOptions()
-	ob.Mechanism = sim.HWBypass
-	ov := ob
-	ov.Mechanism = sim.HWVictim
-
-	bypass := experiments.RunSweep(ob, nil, experiments.Plan{})
-	victim := experiments.RunSweep(ov, nil, experiments.Plan{})
-
 	for i := range bypass.Rows {
 		b := bypass.Rows[i].Improv[core.Selective]
 		v := victim.Rows[i].Improv[core.Selective]
@@ -42,7 +36,6 @@ func main() {
 		bypass.Avg[core.Selective], victim.Avg[core.Selective])
 
 	fmt.Println("averages across the six machine configurations (Table 3 view):")
-	rows := selcache.Table3()
 	fmt.Printf("%-16s %10s %10s\n", "experiment", "sel/bypass", "sel/victim")
 	for _, r := range rows {
 		fmt.Printf("%-16s %9.2f%% %9.2f%%\n", r.Config, r.SelectiveBypass, r.SelectiveVictim)

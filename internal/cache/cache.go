@@ -1,6 +1,7 @@
 // Package cache implements the cache structures of the simulated memory
 // hierarchy: set-associative caches with true-LRU or Expected-Hit-Count
-// replacement and write-back/write-allocate policy, fully-associative
+// replacement and write-back/write-allocate policy (the data TLB is one
+// too, a cache of page-sized lines), fully-associative
 // victim caches (Jouppi), a generic fully-associative LRU store reused by
 // the bypass buffer, and a shadow classifier that splits misses into
 // compulsory, capacity and conflict components (the paper reports that

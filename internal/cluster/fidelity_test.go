@@ -9,16 +9,22 @@ import (
 	"testing"
 	"time"
 
+	"selcache/internal/core"
+	"selcache/internal/experiments"
 	"selcache/internal/server"
 	"selcache/internal/workloads"
 )
 
 // realNode boots a selcached node on the real simulation engine (no stub):
 // the fidelity tests must prove the actual product path, not a fabricated
-// one.
-func realNode(t *testing.T, role string) (*server.Server, *httptest.Server) {
+// one. Nodes handed the same trace cache record each stream once between
+// them; every node still simulates its own cells.
+func realNode(t *testing.T, role string, traces *experiments.TraceCache) (*server.Server, *httptest.Server) {
 	t.Helper()
 	srv := server.New(server.Config{Workers: 2, Role: role})
+	srv.SetRunRow(func(w workloads.Workload, o core.Options, _ *experiments.TraceCache) experiments.Row {
+		return experiments.RunRow(w, o, traces)
+	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -43,7 +49,8 @@ func TestClusterFidelityRealSim(t *testing.T) {
 	body := fmt.Sprintf(`{"workloads":["%s"],"configs":["base"],"mechanisms":["bypass"]}`,
 		strings.Join(names, `","`))
 
-	_, refTS := realNode(t, "")
+	traces := experiments.NewTraceCache("")
+	_, refTS := realNode(t, "", traces)
 	refResp, refBody := postJSON(t, refTS.URL+"/v1/sweep", body)
 	if refResp.StatusCode != http.StatusOK {
 		t.Fatalf("reference sweep status %d: %s", refResp.StatusCode, refBody)
@@ -54,16 +61,16 @@ func TestClusterFidelityRealSim(t *testing.T) {
 	cfg.AttemptTimeout = 2 * time.Minute // real cold-cache cells take real time
 	log := &lockedBuf{}
 	cfg.Log = log
-	coSrv, coTS := realNode(t, "coordinator")
+	coSrv, coTS := realNode(t, "coordinator", traces)
 	cfg.Self = coTS.URL
 	coord := New(cfg)
 	t.Cleanup(coord.Close)
 	coSrv.SetRemote(coord.Execute)
 	coord.Register(coSrv.Mux())
 
-	_, flakyTS := realNode(t, "worker")
+	_, flakyTS := realNode(t, "worker", traces)
 	proxy := newFlakyProxy(t, flakyTS.URL)
-	_, doomedTS := realNode(t, "worker")
+	_, doomedTS := realNode(t, "worker", traces)
 	mustJoin(t, coTS.URL, proxy.URL)
 	mustJoin(t, coTS.URL, doomedTS.URL)
 

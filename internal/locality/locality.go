@@ -79,8 +79,8 @@ func FromConfig(c sim.Config) Geometry {
 		L2Block:    c.L2.Block,
 		L2Size:     c.L2.Size,
 		L2Assoc:    c.L2.Assoc,
-		PageSize:   c.TLB.PageSize,
-		TLBEntries: c.TLB.Entries,
+		PageSize:   c.TLB.Block,
+		TLBEntries: c.TLB.Lines(),
 		TLBAssoc:   c.TLB.Assoc,
 		L1Lat:      c.L1Lat,
 		L2Lat:      c.L2Lat,

@@ -12,30 +12,17 @@ func TestEventBlockCapacityFloor(t *testing.T) {
 	if b.Cap() != 16 || b.Len() != 0 || len(b.Words()) != 0 {
 		t.Fatalf("new block len/cap = %d/%d, want 0/16", b.Len(), b.Cap())
 	}
-	if len(b.Buf()) != 16 {
-		t.Fatalf("Buf() holds %d words, want the capacity 16", len(b.Buf()))
-	}
 }
 
-func TestEventBlockSetLenBounds(t *testing.T) {
+func TestEventBlockSetWindowBounds(t *testing.T) {
 	b := NewEventBlock(4)
+	words := make([]uint64, 5)
 	for _, n := range []int{0, 1, 4} {
-		b.SetLen(n)
+		b.SetWindow(words[:n])
 		if b.Len() != n || len(b.Words()) != n {
-			t.Fatalf("SetLen(%d); Len() = %d", n, b.Len())
+			t.Fatalf("SetWindow of %d words; Len() = %d", n, b.Len())
 		}
 	}
-	for _, n := range []int{-1, 5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetLen(%d) did not panic", n)
-				}
-			}()
-			b.SetLen(n)
-		}()
-	}
-	words := make([]uint64, 5)
 	b.SetWindow(words[:4])
 	if b.Len() != 4 || &b.Words()[0] != &words[0] {
 		t.Fatal("SetWindow copied its words or changed their count")
@@ -58,7 +45,7 @@ func TestEventBlockSetLenBounds(t *testing.T) {
 
 func TestEventBlockEmitReference(t *testing.T) {
 	b := NewEventBlock(8)
-	buf := b.Buf()
+	buf := make([]uint64, 8)
 	// marker-on, read, folded compute run (3 × Compute(5)), write,
 	// marker-off; the remaining capacity stays outside Len.
 	buf[0] = MarkerWord(true)
@@ -68,7 +55,7 @@ func TestEventBlockEmitReference(t *testing.T) {
 	buf[4] = MarkerWord(false)
 	// Stale garbage beyond Len must not be replayed.
 	buf[5] = AccessWord(0xdead, AccessTag(1, true))
-	b.SetLen(5)
+	b.SetWindow(buf[:5])
 
 	var c CountingEmitter
 	b.Emit(&c)

@@ -122,17 +122,15 @@ func WordCompute(w uint64) (n int, count uint64) {
 }
 
 // EventBlock is a batch of at most Cap() packed event words (see the
-// layout above EvCompute). A producer either fills Buf() and calls SetLen,
-// or points the block at words it already holds with SetWindow —
-// internal/trace hands out windows of a recorded stream's own words that
-// way, with no copy.
+// layout above EvCompute). A producer points the block at words it already
+// holds with SetWindow — internal/trace hands out windows of a recorded
+// stream's own words that way, with no copy.
 //
 // Words() may alias storage shared with other goroutines (trace caches
 // share one packed stream across sweep workers and selcached requests), so
 // no consumer may write to it.
 type EventBlock struct {
 	words []uint64 // the valid events
-	buf   []uint64 // the block's own storage, allocated by the first Buf
 	cap   int
 }
 
@@ -150,24 +148,6 @@ func (b *EventBlock) Cap() int { return b.cap }
 
 // Words returns the block's events. The slice is read-only.
 func (b *EventBlock) Words() []uint64 { return b.words }
-
-// Buf returns the block's own Cap()-word storage for a producer to fill
-// before SetLen.
-func (b *EventBlock) Buf() []uint64 {
-	if b.buf == nil {
-		b.buf = make([]uint64, b.cap)
-	}
-	return b.buf
-}
-
-// SetLen declares the first n words of Buf() the block's events; n must not
-// exceed Cap.
-func (b *EventBlock) SetLen(n int) {
-	if n < 0 || n > b.cap {
-		panic(fmt.Sprintf("mem: SetLen(%d) outside block capacity %d", n, b.cap))
-	}
-	b.words = b.Buf()[:n:n]
-}
 
 // SetWindow makes words the block's events without copying them; len(words)
 // must not exceed Cap. The block only reads them.

@@ -370,7 +370,7 @@ func (m *Machine) Finish() sim.RunStats {
 		Markers:           m.markers,
 		L1:                m.l1.stats,
 		L2:                m.l2.stats,
-		TLB:               m.dtlb.stats,
+		TLB:               sim.TLBStats{Accesses: m.dtlb.stats.Accesses, Misses: m.dtlb.stats.Misses},
 		Bypasses:          m.bypasses,
 		SpatialPrefetches: m.prefetches,
 		OnCycles:          uint64(m.onCycles),

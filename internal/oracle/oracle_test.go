@@ -9,7 +9,6 @@ import (
 	"selcache/internal/loopir"
 	"selcache/internal/mem"
 	"selcache/internal/sim"
-	"selcache/internal/tlb"
 	"selcache/internal/trace"
 	"selcache/internal/workloads"
 )
@@ -239,7 +238,7 @@ func TestCheckStatsRejectsInconsistencies(t *testing.T) {
 			MemOps:       20,
 			L1:           cache.Stats{Accesses: 20, Hits: 15, Misses: 5},
 			L2:           cache.Stats{Accesses: 5, Hits: 3, Misses: 2},
-			TLB:          tlb.Stats{Accesses: 20, Misses: 1},
+			TLB:          sim.TLBStats{Accesses: 20, Misses: 1},
 		}
 	}
 	if err := CheckStats(base()); err != nil {

@@ -6,7 +6,6 @@ import (
 	"selcache/internal/cache"
 	"selcache/internal/mat"
 	"selcache/internal/mem"
-	"selcache/internal/tlb"
 )
 
 // This file holds the naive reference models of every stateful hardware
@@ -434,21 +433,22 @@ func (b *refBuffer) fillSpan(a mem.Addr, dirty bool, span, blockBytes int) (writ
 	return writebacks
 }
 
-// refTLB is the reference set-associative LRU TLB (mirror of tlb.TLB,
-// which fills on miss as part of the translate).
+// refTLB is the reference set-associative LRU TLB. The engine's TLB is a
+// cache.Cache of page-sized lines probed read-only and filled on a miss,
+// so this model keeps the same counters and snapshot form.
 type refTLB struct {
-	cfg   tlb.Config
+	cfg   cache.Config
 	sets  [][]uint64 // page numbers, MRU first
-	stats tlb.Stats
+	stats cache.Stats
 }
 
-func newRefTLB(cfg tlb.Config) *refTLB {
-	return &refTLB{cfg: cfg, sets: make([][]uint64, cfg.Entries/cfg.Assoc)}
+func newRefTLB(cfg cache.Config) *refTLB {
+	return &refTLB{cfg: cfg, sets: make([][]uint64, cfg.Lines()/cfg.Assoc)}
 }
 
 func (t *refTLB) translate(a mem.Addr) bool {
 	t.stats.Accesses++
-	page := uint64(a) / uint64(t.cfg.PageSize)
+	page := uint64(a) / uint64(t.cfg.Block)
 	s := int(page % uint64(len(t.sets)))
 	set := t.sets[s]
 	for i, p := range set {
@@ -457,24 +457,29 @@ func (t *refTLB) translate(a mem.Addr) bool {
 		}
 		copy(set[1:i+1], set[:i])
 		set[0] = page
+		t.stats.Hits++
 		return true
 	}
 	t.stats.Misses++
+	t.stats.Fills++
 	if len(set) == t.cfg.Assoc {
 		set = set[:len(set)-1]
+		t.stats.Evictions++
 	}
 	t.sets[s] = append([]uint64{page}, set...)
 	return false
 }
 
-func (t *refTLB) snapshot() [][]uint64 {
-	out := make([][]uint64, len(t.sets))
+func (t *refTLB) snapshot() [][]cache.LineSnapshot {
+	out := make([][]cache.LineSnapshot, len(t.sets))
 	for s, set := range t.sets {
 		// make (not append to nil) so empty sets compare equal to the
 		// engine's always-non-nil snapshot slices under DeepEqual.
-		pages := make([]uint64, len(set))
-		copy(pages, set)
-		out[s] = pages
+		lines := make([]cache.LineSnapshot, len(set))
+		for i, p := range set {
+			lines[i] = cache.LineSnapshot{BlockAddr: mem.Addr(p * uint64(t.cfg.Block))}
+		}
+		out[s] = lines
 	}
 	return out
 }

@@ -48,22 +48,6 @@ func (p capturedPanic) Error() string {
 	return fmt.Sprintf("parallel: cell %d panicked: %v", p.cell, p.value)
 }
 
-// claimChunk sizes the per-CAS claim for an n-cell sweep on w workers:
-// enough cells per claim that tiny-cell sweeps do not serialize on the
-// shared counter, while keeping at least ~8 claims per worker so load
-// stays balanced when cell costs are skewed. Bounded at 64 so one slow
-// chunk can never strand a large tail on one worker.
-func claimChunk(n, w int) int {
-	k := n / (8 * w)
-	if k < 1 {
-		return 1
-	}
-	if k > 64 {
-		return 64
-	}
-	return k
-}
-
 // Map runs fn(i) for every i in [0, n) across at most Workers(workers)
 // goroutines and returns the results ordered by index — byte-identical to
 //
@@ -73,23 +57,35 @@ func claimChunk(n, w int) int {
 // for any pure fn. With workers <= Serial (or a single cell) it runs
 // exactly that loop on the calling goroutine: no pool, no channels.
 //
-// Workers claim cells in contiguous chunks (claimChunk cells per atomic
-// increment), so sweeps of very cheap cells are not serialized by
-// contention on the claim counter.
+// Workers claim one cell per atomic increment. A cell costs at least
+// microseconds (an estimate) and usually milliseconds to seconds (a
+// simulation), so the claim is noise beside it, and no worker is left
+// holding a batch of slow cells at the end.
 //
 // If any fn panics, Map waits for the remaining in-flight cells, then
 // re-panics on the calling goroutine with the cell index attached; queued
 // cells that had not started are abandoned.
 func Map[T any](workers, n int, fn func(int) T) []T {
-	return mapWorkers(workers, n, func(_, i int) T { return fn(i) })
+	return mapWorkers(workers, n, func() func(int) T { return fn })
 }
 
-// mapWorkers is Map with the worker identity exposed: fn(w, i) computes
-// cell i on worker w, where 0 <= w < min(Workers(workers), n) and each w
-// names exactly one goroutine for the whole call. MapWith uses the
-// identity to index per-worker state (arena) without locking; the serial
-// path runs everything as worker 0.
-func mapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
+// MapWith is Map with one zero-valued S per worker: each worker creates its
+// S once, on its own goroutine, and hands it to every cell it runs. So
+// per-worker scratch state (a core.Runner's machine) is built once per
+// worker instead of once per cell, first touched by the goroutine that
+// uses it, and garbage once MapWith returns.
+func MapWith[S, T any](workers, n int, fn func(s *S, i int) T) []T {
+	return mapWorkers(workers, n, func() func(int) T {
+		s := new(S)
+		return func(i int) T { return fn(s, i) }
+	})
+}
+
+// mapWorkers runs the cells of Map and MapWith. Each worker calls
+// newWorker once, on its own goroutine, and computes every cell it claims
+// with the function it got back; the serial path is one such worker on the
+// calling goroutine.
+func mapWorkers[T any](workers, n int, newWorker func() func(int) T) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -99,13 +95,12 @@ func mapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
 		w = n
 	}
 	if w <= Serial {
+		fn := newWorker()
 		for i := range out {
-			out[i] = fn(0, i)
+			out[i] = fn(i)
 		}
 		return out
 	}
-
-	chunk := claimChunk(n, w)
 	var (
 		next    atomic.Int64 // next unclaimed cell
 		failed  atomic.Bool  // a worker panicked; stop claiming cells
@@ -113,38 +108,30 @@ func mapWorkers[T any](workers, n int, fn func(worker, i int) T) []T {
 		panics  []capturedPanic
 		wg      sync.WaitGroup
 	)
-	worker := func(id int) {
+	worker := func() {
 		defer wg.Done()
+		fn := newWorker()
 		for !failed.Load() {
-			hi := int(next.Add(int64(chunk)))
-			lo := hi - chunk
-			if lo >= n {
+			i := int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				if failed.Load() {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							failed.Store(true)
-							panicMu.Lock()
-							panics = append(panics, capturedPanic{cell: i, value: r})
-							panicMu.Unlock()
-						}
-					}()
-					out[i] = fn(id, i)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						failed.Store(true)
+						panicMu.Lock()
+						panics = append(panics, capturedPanic{cell: i, value: r})
+						panicMu.Unlock()
+					}
 				}()
-			}
+				out[i] = fn(i)
+			}()
 		}
 	}
 	wg.Add(w)
 	for i := 0; i < w; i++ {
-		go worker(i)
+		go worker()
 	}
 	wg.Wait()
 	if len(panics) > 0 {

@@ -171,6 +171,42 @@ func TestSweepStreamsCanonicalBytes(t *testing.T) {
 	}
 }
 
+// TestSweepBodyIsOneEncoding: a one-cell sweep and a two-slice sweep go
+// through the same streaming writer, and each body is exactly
+// json.Marshal(SweepResponse{...}) plus a newline, served as JSON.
+func TestSweepBodyIsOneEncoding(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	s.SetRunRow(func(w workloads.Workload, o core.Options, tc *experiments.TraceCache) experiments.Row {
+		return stubRow(w)
+	})
+	for _, tc := range []struct {
+		body   string
+		sweeps int
+	}{
+		{`{"workloads":["swim"],"configs":["base"],"mechanisms":["bypass"]}`, 1},
+		{`{"workloads":["swim","compress"],"configs":["base"],"mechanisms":["bypass","victim"]}`, 2},
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/sweep", tc.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, content type %q: %s", tc.body, resp.StatusCode, resp.Header.Get("Content-Type"), b)
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(b, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if len(sr.Sweeps) != tc.sweeps {
+			t.Fatalf("%s: %d sweeps, want %d", tc.body, len(sr.Sweeps), tc.sweeps)
+		}
+		want, err := json.Marshal(SweepResponse{Sweeps: sr.Sweeps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(b, want) {
+			t.Fatalf("%s: body is not one encoding:\nbody: %q\nwant: %q", tc.body, b, want)
+		}
+	}
+}
+
 // TestSweepEstimatePlan: estimate_top prunes each (config, mechanism)
 // slice to the predicted-interesting workloads — a declined
 // (unpredictable) workload always survives over one whose variants the

@@ -357,11 +357,11 @@ type sweepPlan struct {
 
 // serveSweep resolves the request matrix, claims every cell through the
 // shared reuse tiers, and assembles per-(config, mechanism) sweeps with
-// the exact float-accumulation order of the batch drivers. Multi-cell
-// sweeps stream: each completed sweep slice is encoded and flushed as soon
-// as its cells finish, so a Table-3-sized matrix delivers its first rows
-// while later configurations are still simulating. The streamed bytes are
-// identical to the buffered single-write encoding.
+// the exact float-accumulation order of the batch drivers. Sweeps stream:
+// each completed sweep slice is encoded as soon as its cells finish and
+// flushed before the next one is written, so a Table-3-sized matrix
+// delivers its first rows while later configurations are still simulating.
+// The streamed bytes are identical to the buffered single-write encoding.
 func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, names []string, noRemote bool) {
 	configs := req.Configs
 	if len(configs) == 0 {
@@ -428,12 +428,10 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 	// fills run at once, and a sweep listing the same workload twice joins
 	// one fill twice (one run). Claims an early return leaves unawaited
 	// are dropped on the way out.
-	cells := 0
 	for pi := range plans {
 		for _, spec := range plans[pi].specs {
 			plans[pi].claims = append(plans[pi].claims, s.claim(spec, plans[pi].opts, ClassSweep, noRemote))
 		}
-		cells += len(plans[pi].specs)
 	}
 	defer func() {
 		for pi := range plans {
@@ -442,22 +440,6 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 			}
 		}
 	}()
-
-	// Single-cell sweeps keep the buffered write (nothing to overlap);
-	// anything larger streams sweep slices as they complete.
-	if cells <= 1 {
-		resp := SweepResponse{}
-		for pi := range plans {
-			sres, err := s.awaitSweep(ctx, &plans[pi])
-			if err != nil {
-				s.failExec(w, err)
-				return
-			}
-			resp.Sweeps = append(resp.Sweeps, sres)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 
 	wrote := false
 	for pi := range plans {
@@ -485,7 +467,9 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 			io.WriteString(w, ",")
 		}
 		w.Write(b)
-		if f, ok := w.(http.Flusher); ok {
+		// Deliver this slice while the next one simulates; the last
+		// slice goes out with the closing bracket.
+		if f, ok := w.(http.Flusher); ok && pi < len(plans)-1 {
 			f.Flush()
 		}
 	}

@@ -9,7 +9,6 @@ package sim
 import (
 	"selcache/internal/cache"
 	"selcache/internal/mat"
-	"selcache/internal/tlb"
 )
 
 // Config is the machine configuration (the paper's Table 1 plus the timing
@@ -43,8 +42,9 @@ type Config struct {
 	// other work. Alpha = 1 models a fully blocking cache.
 	Alpha float64
 
-	// TLB is the data-TLB geometry and TLBLat its miss penalty.
-	TLB    tlb.Config
+	// TLB is the data-TLB geometry, a cache of page-sized lines (Block is
+	// the page size), and TLBLat its miss penalty.
+	TLB    cache.Config
 	TLBLat int
 
 	// VictimSwapLat is the extra latency of servicing an L1 miss from
@@ -61,7 +61,8 @@ type Config struct {
 
 // Base returns the paper's base processor configuration (Table 1):
 // 4-wide issue, 32 KB 4-way 32 B-block L1, 512 KB 4-way 128 B-block L2,
-// 2/10/100-cycle latencies, 8-byte memory bus, 2 memory ports.
+// 2/10/100-cycle latencies, 8-byte memory bus, 2 memory ports, and a
+// 128-entry 4-way data TLB of 4 KB pages.
 func Base() Config {
 	return Config{
 		Name:       "base",
@@ -75,7 +76,7 @@ func Base() Config {
 		BusBytes:   8,
 		MLP:        4,
 		Alpha:      0.35,
-		TLB:        tlb.Config{Entries: 128, Assoc: 4, PageSize: 4096},
+		TLB:        cache.Config{Size: 128 * 4096, Assoc: 4, Block: 4096},
 		TLBLat:     30,
 
 		VictimSwapLat: 1,

@@ -7,7 +7,6 @@ import (
 	"selcache/internal/energy"
 	"selcache/internal/mat"
 	"selcache/internal/mem"
-	"selcache/internal/tlb"
 )
 
 // Write-back bus-occupancy charges, in cycles. Write-backs are buffered and
@@ -30,7 +29,7 @@ type RunStats struct {
 
 	L1, L2           cache.Stats
 	L1Class, L2Class cache.ClassifyStats
-	TLB              tlb.Stats
+	TLB              TLBStats
 
 	Victim1, Victim2 cache.VictimStats
 	MAT              mat.Stats
@@ -54,6 +53,12 @@ type RunStats struct {
 	// driver (core.Run). It is the one nondeterministic field of RunStats:
 	// comparisons between runs must zero it first.
 	WallNanos int64
+}
+
+// TLBStats counts data-TLB translations and the misses among them.
+type TLBStats struct {
+	Accesses uint64
+	Misses   uint64
 }
 
 // IPC returns instructions per cycle.
@@ -82,7 +87,9 @@ type Machine struct {
 
 	l1, l2     *cache.Cache
 	cls1, cls2 *cache.Classifier
-	dtlb       *tlb.TLB
+	// dtlb is the data TLB: a cache of page-sized lines, so its block
+	// numbers are page numbers.
+	dtlb *cache.Cache
 
 	matT *mat.Table
 	// matStore keeps the last MAT built, so a Reset for a bypass run can
@@ -133,7 +140,7 @@ func NewMachine(cfg Config, opt Options) *Machine {
 func (m *Machine) Reset(cfg Config, opt Options) {
 	opt = opt.withDefaults()
 	l1, l2 := reuseCache(m.l1, cfg.L1), reuseCache(m.l2, cfg.L2)
-	dtlb := reuseTLB(m.dtlb, cfg.TLB)
+	dtlb := reuseCache(m.dtlb, cfg.TLB)
 	matStore := m.matStore
 	outstanding := m.outstanding[:0]
 	if cap(outstanding) != cfg.MLP {
@@ -180,7 +187,7 @@ func (m *Machine) Reset(cfg Config, opt Options) {
 		m.l2.EnableWayMemo(opt.L2MemoEntries)
 	}
 	m.l1Shift = m.l1.BlockShift()
-	m.pageShift = m.dtlb.PageShift()
+	m.pageShift = m.dtlb.BlockShift()
 }
 
 // reuseCache returns c emptied when it has geometry cfg, else a new cache.
@@ -190,15 +197,6 @@ func reuseCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
 	}
 	c.Reset()
 	return c
-}
-
-// reuseTLB returns t emptied when it has geometry cfg, else a new TLB.
-func reuseTLB(t *tlb.TLB, cfg tlb.Config) *tlb.TLB {
-	if t == nil || t.Config() != cfg {
-		return tlb.New(cfg)
-	}
-	t.Reset()
-	return t
 }
 
 // HWActive reports the current state of the run-time optimization flag.
@@ -283,9 +281,11 @@ func (m *Machine) access1(addr mem.Addr, write bool, block, page uint64) {
 	m.memOps++
 	m.cycles += m.invPorts
 
-	// Fast/slow probe pairs: the Fast half inlines here (see the cache and
-	// tlb packages); the Slow half is the out-of-line full set walk.
-	if !(m.dtlb.TranslateFast(page) || m.dtlb.TranslateSlow(page)) {
+	// Fast/slow probe pairs: the Fast half inlines here (see the cache
+	// package); the Slow half is the out-of-line full set walk. A TLB miss
+	// installs the translation before its walk stalls the pipeline.
+	if !(m.dtlb.LookupFast(page, false) || m.dtlb.LookupSlow(page, false)) {
+		m.dtlb.FillMiss(addr, false)
 		m.stall(float64(m.cfg.TLBLat))
 	}
 
@@ -500,7 +500,7 @@ func (m *Machine) Finish() RunStats {
 		Markers:           m.markers,
 		L1:                m.l1.Stats,
 		L2:                m.l2.Stats,
-		TLB:               m.dtlb.Stats,
+		TLB:               TLBStats{Accesses: m.dtlb.Stats.Accesses, Misses: m.dtlb.Stats.Misses},
 		Bypasses:          m.bypasses,
 		SpatialPrefetches: m.prefetches,
 		OnCycles:          uint64(m.onCycles),

@@ -3,7 +3,6 @@ package sim
 import (
 	"selcache/internal/cache"
 	"selcache/internal/mat"
-	"selcache/internal/tlb"
 )
 
 // This file exposes the machine's internal accounting and component units
@@ -65,7 +64,7 @@ func (m *Machine) Outstanding() []float64 {
 type Components struct {
 	L1, L2     *cache.Cache
 	Cls1, Cls2 *cache.Classifier
-	TLB        *tlb.TLB
+	TLB        *cache.Cache
 	MAT        *mat.Table
 	SLDT       *mat.SLDT
 	Buffer     *mat.Buffer

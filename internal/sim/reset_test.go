@@ -15,8 +15,7 @@ import (
 // that thrash L1 (victim-cache and bypass territory), writes, compute runs
 // and marker toggles for the selective version.
 func resetStream(events int) *mem.EventBlock {
-	b := mem.NewEventBlock(events)
-	words := b.Buf()
+	words := make([]uint64, events)
 	x := uint64(12345)
 	stream := mem.Addr(0x400000)
 	for i := 0; i < events; i++ {
@@ -43,7 +42,8 @@ func resetStream(events int) *mem.EventBlock {
 			words[i] = mem.AccessWord(a&^7, mem.AccessTag(8, r%4 == 1))
 		}
 	}
-	b.SetLen(events)
+	b := mem.NewEventBlock(events)
+	b.SetWindow(words)
 	return b
 }
 
@@ -59,7 +59,7 @@ type machineState struct {
 	EHC1, EHC2  [][]cache.EHCLineSnapshot
 	Hist1       []cache.EHCHistSnapshot
 	Hist2       []cache.EHCHistSnapshot
-	TLB         [][]uint64
+	TLB         [][]cache.LineSnapshot
 	MAT         []mat.EntrySnapshot
 	MATAge      uint64
 	SLDT        []mat.SLDTEntrySnapshot
